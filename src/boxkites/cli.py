@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .render import FORMATS, TARGETS, RenderSpec, cmd_emit, json_text
+from .render import FORMATS, REGISTRY, TARGETS, RenderSpec, cmd_emit, json_text
 from .verify import SECTIONS, run_verification
-
-NEEDS_STRUT = {"box-kite", "yard", "mock", "quizzical", "pathion"}
 
 
 def _dim_exponent(parser: argparse.ArgumentParser, dim: int) -> int:
@@ -33,6 +31,8 @@ def _parse_s_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...
                 values.add(int(piece))
     except ValueError:
         parser.error(f"bad --s-range {text!r}; use forms like 1-8,17")
+    if not values:
+        parser.error(f"--s-range {text!r} selects no strut constant")
     return tuple(sorted(values))
 
 
@@ -52,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="strut pair for mock tables")
     emit.add_argument("--s-range", default=None,
                       help="strut constants for tripsync, e.g. 1-8,17")
+    emit.add_argument("--failures-only", action="store_true",
+                      help="tripsync: list only the failing kites")
     emit.add_argument("--format", choices=FORMATS, default="markdown")
     emit.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -77,23 +79,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "emit":
-        default_dim = 32 if args.target == "pathion" else 16
+        default_dim = REGISTRY[args.target].default_dim
         n = _dim_exponent(parser, args.dim if args.dim is not None else default_dim)
-        half = 1 << (n - 1)
-        if args.target in NEEDS_STRUT and not (0 < args.strut < half):
-            parser.error(f"--strut must lie strictly between 0 and {half}")
-        if args.target in ("yard", "mock", "quizzical", "strut-table", "sync-table") and n != 4:
-            parser.error(f"target {args.target!r} is defined at dimension 16")
-        s_values = _parse_s_range(parser, args.s_range) if args.s_range else ()
-        spec = RenderSpec(
-            target=args.target,
-            format=args.format,
-            n=n,
-            s=args.strut,
-            strut=args.strut_pair,
-            s_values=s_values,
-        )
+        s_values = _parse_s_range(parser, args.s_range) if args.s_range is not None else ()
         try:
+            spec = RenderSpec(
+                target=args.target,
+                format=args.format,
+                n=n,
+                s=args.strut,
+                strut=args.strut_pair,
+                s_values=s_values,
+                failures_only=args.failures_only,
+            )
             text = cmd_emit(spec)
         except ValueError as exc:
             parser.error(str(exc))

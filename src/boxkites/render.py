@@ -4,6 +4,10 @@ Each builder produces a plain-data payload (dicts, lists, strings) and each
 renderer is a pure function of that payload, so identical invocations are
 byte-identical.  JSON table cells use the grammar "0", "+R", "-R", "+8",
 "-8", "+X", "-X", "+S", "-S", and signed vertex letters.
+
+``REGISTRY`` is the one list of targets: each entry names its payload
+builder, the text blocks its markdown and CSV forms are made of, and the
+constraints a request for it must meet.
 """
 
 from __future__ import annotations
@@ -12,15 +16,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .emanation import CensusReport, SweepReport, census, find_box_kites, trip_sync_sweep, zd_graph
-from .kites import (
-    LETTERS,
-    STRUT_LETTER_PAIRS,
-    BoxKite,
-    build_box_kite,
-    goto_numbers,
-)
+from .kites import LETTERS, STRUT_LETTER_PAIRS, Assessor, BoxKite, build_box_kite, goto_numbers
 from .lariats import (
     LariatTable,
     QuizzicalLariat,
@@ -33,22 +32,11 @@ from .lariats import (
 ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 
 FORMATS = ("markdown", "csv", "json", "dot")
-TARGETS = (
-    "strut-table",
-    "box-kite",
-    "yard",
-    "mock",
-    "quizzical",
-    "sync-table",
-    "pathion",
-    "census",
-    "tripsync",
-)
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """A fully resolved emission request."""
+    """A fully resolved emission request, checked against its target."""
 
     target: str
     format: str = "markdown"
@@ -56,12 +44,22 @@ class RenderSpec:
     s: int = 1
     strut: str = "AF"
     s_values: tuple[int, ...] = ()
+    failures_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.target not in TARGETS:
+        if self.target not in REGISTRY:
             raise ValueError(f"unknown target {self.target!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
+        target = REGISTRY[self.target]
+        if self.format == "dot" and not target.dot:
+            graphs = " or ".join(name for name, t in REGISTRY.items() if t.dot)
+            raise ValueError(f"dot output renders zero-divisor graphs; use the {graphs} targets")
+        if target.sedenion_only and self.n != 4:
+            raise ValueError(f"target {self.target!r} is defined at dimension 16")
+        half = 1 << (self.n - 1)
+        if target.needs_strut and not 0 < self.s < half:
+            raise ValueError(f"--strut must lie strictly between 0 and {half}")
 
 
 def markdown_table(headers, rows) -> str:
@@ -88,6 +86,10 @@ def json_text(payload) -> str:
 
 # ---------------------------------------------------------------- payloads
 
+def _vertex_map(bk: BoxKite) -> dict:
+    return {p: list(bk.vertex(p).indices) for p in LETTERS}
+
+
 def box_kite_payload(bk: BoxKite) -> dict:
     edges = []
     for i, p in enumerate(LETTERS):
@@ -98,7 +100,7 @@ def box_kite_payload(bk: BoxKite) -> dict:
     return {
         "n": bk.n,
         "s": bk.s,
-        "vertices": {p: list(bk.vertex(p).indices) for p in LETTERS},
+        "vertices": _vertex_map(bk),
         "edges": edges,
         "struts": [list(pair) for pair in STRUT_LETTER_PAIRS],
     }
@@ -106,8 +108,6 @@ def box_kite_payload(bk: BoxKite) -> dict:
 
 def parse_box_kite(payload: dict) -> BoxKite:
     """Rebuild (and revalidate) a box-kite from its JSON payload."""
-    from .kites import Assessor
-
     vertex_map = {
         letter: Assessor(payload["n"], o, hi)
         for letter, (o, hi) in payload["vertices"].items()
@@ -144,52 +144,31 @@ def quizzical_payload(tables: list[QuizzicalLariat]) -> dict:
 
 
 def strut_table_payload() -> dict:
-    rows = []
-    for s in range(1, 8):
-        bk = build_box_kite(s)
-        rows.append(
-            {
-                "s": s,
-                "goto": list(goto_numbers(bk)),
-                "vertices": {p: list(bk.vertex(p).indices) for p in LETTERS},
-            }
-        )
+    kites = [build_box_kite(s) for s in range(1, 8)]
+    rows = [
+        {"s": bk.s, "goto": list(goto_numbers(bk)), "vertices": _vertex_map(bk)}
+        for bk in kites
+    ]
     return {"n": 4, "rows": rows}
 
 
+def _sail_payload(sail) -> dict:
+    trips = [
+        {"trip": list(trip), "orientation": orientation}
+        for trip, orientation in zip(sail.trips, sail.orientations)
+    ]
+    return {"name": sail.name, "trips": trips, "passed": sail.passed}
+
+
 def sync_table_payload() -> dict:
-    rows = []
-    for s in range(1, 8):
-        report = trip_sync_report(build_box_kite(s))
-        rows.append(
-            {
-                "s": s,
-                "sails": [
-                    {
-                        "name": sail.name,
-                        "trips": [
-                            {"trip": list(trip), "orientation": orientation}
-                            for trip, orientation in zip(sail.trips, sail.orientations)
-                        ],
-                        "passed": sail.passed,
-                    }
-                    for sail in report.sails
-                ],
-            }
-        )
+    reports = [trip_sync_report(build_box_kite(s)) for s in range(1, 8)]
+    rows = [{"s": r.s, "sails": [_sail_payload(sail) for sail in r.sails]} for r in reports]
     return {"n": 4, "rows": rows}
 
 
 def pathion_payload(n: int, s: int) -> dict:
-    kites = find_box_kites(n, s)
-    return {
-        "n": n,
-        "s": s,
-        "kites": [
-            {"vertices": {p: list(k.vertex(p).indices) for p in LETTERS}}
-            for k in kites
-        ],
-    }
+    kites = [{"vertices": _vertex_map(k)} for k in find_box_kites(n, s)]
+    return {"n": n, "s": s, "kites": kites}
 
 
 def census_payload(report: CensusReport) -> dict:
@@ -209,8 +188,10 @@ def census_payload(report: CensusReport) -> dict:
     return payload
 
 
-def sweep_payload(report: SweepReport) -> dict:
-    return {
+def sweep_payload(report: SweepReport, failures_only: bool = False) -> dict:
+    """The sweep as data; ``failures_only`` drops the passing kites and
+    records the size of the whole sweep as ``kite_count``."""
+    payload = {
         "n": report.n,
         "s_values": list(report.s_values),
         "kites": [
@@ -221,9 +202,13 @@ def sweep_payload(report: SweepReport) -> dict:
                 "counterexamples": [list(t) for t in entry.counterexamples],
             }
             for entry in report.entries
+            if not (failures_only and entry.passed)
         ],
         "all_passed": report.all_passed,
     }
+    if failures_only:
+        payload["kite_count"] = report.kite_count
+    return payload
 
 
 def dot_zd_graph(n: int, s: int) -> str:
@@ -239,157 +224,156 @@ def dot_zd_graph(n: int, s: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --------------------------------------------------------------- rendering
-
-def _vertex_cell(payload_vertices: dict, letter: str) -> str:
-    o, hi = payload_vertices[letter]
-    return f"{o},{hi}"
-
-
-def _render_strut_table(fmt: str) -> str:
-    payload = strut_table_payload()
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["Box-Kite", "GoTo", "A", "B", "C", "D", "E", "F"]
-    rows = [
-        [ROMAN[row["s"]], " ".join(str(g) for g in row["goto"])]
-        + [_vertex_cell(row["vertices"], p) for p in LETTERS]
-        for row in payload["rows"]
-    ]
-    return markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
+def _kite(spec: RenderSpec) -> BoxKite:
+    if spec.n == 4:
+        return build_box_kite(spec.s)
+    kites = find_box_kites(spec.n, spec.s)
+    if not kites:
+        raise ValueError(f"no box-kite found for n={spec.n}, s={spec.s}")
+    return kites[0]
 
 
-def _render_table(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["*"] + payload["symbols"]
-    rows = [
-        [sym] + list(cells) for sym, cells in zip(payload["symbols"], payload["cells"])
-    ]
-    return markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
+# ------------------------------------------------------------- text blocks
+# A target's markdown or CSV text is a list of blocks: a (headers, rows)
+# pair is one table in that format, a string is one line.
+
+def _joined(values) -> str:
+    return " ".join(str(v) for v in values)
 
 
-def _render_quizzical(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(payload)
+def _vertex_cells(vertices: dict) -> list[str]:
+    return [f"{vertices[p][0]},{vertices[p][1]}" for p in LETTERS]
+
+
+def _lariat_table(lariat: dict) -> tuple:
+    symbols = lariat["symbols"]
+    return ["*"] + symbols, [[sym] + list(row) for sym, row in zip(symbols, lariat["cells"])]
+
+
+def _quizzical_blocks(payload: dict) -> list:
     blocks = []
     for lariat in payload["lariats"]:
-        headers = ["*"] + lariat["symbols"]
-        rows = [
-            [sym] + list(cells)
-            for sym, cells in zip(lariat["symbols"], lariat["cells"])
-        ]
-        title = f"{lariat['sail']}: " + " ".join(lariat["symbols"])
-        table = markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
-        blocks.append(f"{title}\n{table}")
-    return "\n".join(blocks)
+        if blocks:
+            blocks.append("")
+        blocks += [f"{lariat['sail']}: " + _joined(lariat["symbols"]), _lariat_table(lariat)]
+    return blocks
 
 
-def _render_sync_table(fmt: str) -> str:
-    payload = sync_table_payload()
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["BK"] + [sail["name"] for sail in payload["rows"][0]["sails"]]
-    rows = []
-    for row in payload["rows"]:
-        cells = []
-        for sail in row["sails"]:
-            cells.append(
-                " ".join(
-                    "({}){}".format(
-                        " ".join(str(i) for i in t["trip"]),
-                        "+" if t["orientation"] > 0 else "-",
-                    )
-                    for t in sail["trips"]
-                )
-            )
-        rows.append([ROMAN[row["s"]]] + cells)
-    return markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
+def _sync_cell(sail: dict) -> str:
+    return " ".join(
+        f"({_joined(t['trip'])})" + ("+" if t["orientation"] > 0 else "-") for t in sail["trips"]
+    )
 
 
-def _render_pathion(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["Kite"] + list(LETTERS)
-    rows = [
-        [i + 1] + [_vertex_cell(kite["vertices"], p) for p in LETTERS]
-        for i, kite in enumerate(payload["kites"])
-    ]
-    return markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
+def _census_blocks(payload: dict) -> list:
+    rows = [[s, count] for s, count in payload["per_s"].items()] + [["total", payload["total"]]]
+    return [(["s", "box-kites"], rows)] + [f"note: {note}" for note in payload.get("notes", [])]
 
 
-def _render_census(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["s", "box-kites"]
-    rows = [[s, count] for s, count in payload["per_s"].items()]
-    rows.append(["total", payload["total"]])
-    text = markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
-    for note in payload.get("notes", []):
-        text += f"note: {note}\n"
-    return text
-
-
-def _render_sweep(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(payload)
-    headers = ["s", "ABC", "trip-sync", "counterexamples"]
+def _sweep_blocks(payload: dict) -> list:
     rows = [
         [
             kite["s"],
-            " ".join(str(i) for i in kite["abc"]),
+            _joined(kite["abc"]),
             "pass" if kite["passed"] else "FAIL",
-            "; ".join(" ".join(str(i) for i in t) for t in kite["counterexamples"]),
+            "; ".join(_joined(t) for t in kite["counterexamples"]),
         ]
         for kite in payload["kites"]
     ]
-    text = markdown_table(headers, rows) if fmt == "markdown" else csv_table(headers, rows)
     verdict = "pass" if payload["all_passed"] else "FAIL"
-    return text + f"overall: {verdict} over {len(payload['kites'])} kites\n"
+    count = payload.get("kite_count", len(payload["kites"]))
+    return [
+        (["s", "ABC", "trip-sync", "counterexamples"], rows),
+        f"overall: {verdict} over {count} kites",
+    ]
+
+
+# ---------------------------------------------------------------- registry
+
+@dataclass(frozen=True)
+class Target:
+    """One emit target: how to build it, how to lay it out, what it needs."""
+
+    payload: Callable[[RenderSpec], dict]
+    blocks: Callable[[dict], list]
+    default_dim: int = 16
+    sedenion_only: bool = False
+    needs_strut: bool = False
+    dot: bool = False
+
+
+REGISTRY: dict[str, Target] = {
+    "strut-table": Target(
+        lambda spec: strut_table_payload(),
+        lambda p: [(
+            ["Box-Kite", "GoTo", *LETTERS],
+            [[ROMAN[r["s"]], _joined(r["goto"])] + _vertex_cells(r["vertices"]) for r in p["rows"]],
+        )],
+        sedenion_only=True,
+    ),
+    "box-kite": Target(
+        lambda spec: box_kite_payload(_kite(spec)),
+        lambda p: [
+            (["vertex", "o", "hi"], [[v, *p["vertices"][v]] for v in LETTERS]),
+            (["end1", "end2", "sign"], [[*e["ends"], e["sign"]] for e in p["edges"]]),
+        ],
+        needs_strut=True, dot=True,
+    ),
+    "yard": Target(
+        lambda spec: table_payload(switching_yard(build_box_kite(spec.s))),
+        lambda p: [_lariat_table(p)],
+        sedenion_only=True, needs_strut=True,
+    ),
+    "mock": Target(
+        lambda spec: table_payload(
+            mock_octonion_table(build_box_kite(spec.s), spec.strut), strut=spec.strut
+        ),
+        lambda p: [_lariat_table(p)],
+        sedenion_only=True, needs_strut=True,
+    ),
+    "quizzical": Target(
+        lambda spec: quizzical_payload(quizzical_tables(build_box_kite(spec.s))),
+        _quizzical_blocks,
+        sedenion_only=True, needs_strut=True,
+    ),
+    "sync-table": Target(
+        lambda spec: sync_table_payload(),
+        lambda p: [(
+            ["BK"] + [sail["name"] for sail in p["rows"][0]["sails"]],
+            [[ROMAN[r["s"]]] + [_sync_cell(sail) for sail in r["sails"]] for r in p["rows"]],
+        )],
+        sedenion_only=True,
+    ),
+    "pathion": Target(
+        lambda spec: pathion_payload(spec.n, spec.s),
+        lambda p: [(
+            ["Kite", *LETTERS],
+            [[i + 1] + _vertex_cells(kite["vertices"]) for i, kite in enumerate(p["kites"])],
+        )],
+        default_dim=32, needs_strut=True, dot=True,
+    ),
+    "census": Target(lambda spec: census_payload(census(spec.n)), _census_blocks),
+    "tripsync": Target(
+        lambda spec: sweep_payload(
+            trip_sync_sweep(spec.n, spec.s_values or None), spec.failures_only
+        ),
+        _sweep_blocks,
+    ),
+}
+
+TARGETS = tuple(REGISTRY)
 
 
 def cmd_emit(spec: RenderSpec) -> str:
     """Render one target; deterministic byte-for-byte."""
     if spec.format == "dot":
-        if spec.target not in ("box-kite", "pathion"):
-            raise ValueError("dot output renders zero-divisor graphs; "
-                             "use the box-kite or pathion targets")
         return dot_zd_graph(spec.n, spec.s)
-    if spec.target == "strut-table":
-        return _render_strut_table(spec.format)
-    if spec.target == "box-kite":
-        bk = build_box_kite(spec.s) if spec.n == 4 else _general_kite(spec.n, spec.s)
-        payload = box_kite_payload(bk)
-        if spec.format == "json":
-            return json_text(payload)
-        headers = ["vertex", "o", "hi"]
-        rows = [[p, *payload["vertices"][p]] for p in LETTERS]
-        text = markdown_table(headers, rows) if spec.format == "markdown" else csv_table(headers, rows)
-        edge_rows = [[*e["ends"], e["sign"]] for e in payload["edges"]]
-        edge_headers = ["end1", "end2", "sign"]
-        text += markdown_table(edge_headers, edge_rows) if spec.format == "markdown" else csv_table(edge_headers, edge_rows)
-        return text
-    if spec.target == "yard":
-        return _render_table(table_payload(switching_yard(build_box_kite(spec.s))), spec.format)
-    if spec.target == "mock":
-        table = mock_octonion_table(build_box_kite(spec.s), spec.strut)
-        return _render_table(table_payload(table, strut=spec.strut), spec.format)
-    if spec.target == "quizzical":
-        return _render_quizzical(quizzical_payload(quizzical_tables(build_box_kite(spec.s))), spec.format)
-    if spec.target == "sync-table":
-        return _render_sync_table(spec.format)
-    if spec.target == "pathion":
-        return _render_pathion(pathion_payload(spec.n, spec.s), spec.format)
-    if spec.target == "census":
-        return _render_census(census_payload(census(spec.n)), spec.format)
-    if spec.target == "tripsync":
-        report = trip_sync_sweep(spec.n, spec.s_values or None)
-        return _render_sweep(sweep_payload(report), spec.format)
-    raise ValueError(f"unknown target {spec.target!r}")
-
-
-def _general_kite(n: int, s: int) -> BoxKite:
-    kites = find_box_kites(n, s)
-    if not kites:
-        raise ValueError(f"no box-kite found for n={n}, s={s}")
-    return kites[0]
+    target = REGISTRY[spec.target]
+    payload = target.payload(spec)
+    if spec.format == "json":
+        return json_text(payload)
+    table = markdown_table if spec.format == "markdown" else csv_table
+    return "".join(
+        block + "\n" if isinstance(block, str) else table(*block)
+        for block in target.blocks(payload)
+    )

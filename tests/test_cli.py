@@ -1,9 +1,16 @@
 """Command line and renderer contracts: determinism, round trips, exits."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boxkites
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
 from boxkites.lariats import switching_yard
@@ -50,6 +57,27 @@ class TestEmit:
         code, out = emit(capsys, "tripsync", "--dim", "32", "--s-range", "1-2,9")
         assert code == 0
         assert "overall: pass over 17 kites" in out
+
+    def test_tripsync_failures_only_hides_passing_rows(self, capsys):
+        code, out = emit(capsys, "tripsync", "--dim", "64", "--s-range", "25", "--failures-only")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("| 25 |")]
+        assert len(rows) == 56 and all("| FAIL |" in row for row in rows)
+        assert out.endswith("overall: FAIL over 87 kites\n")
+
+    def test_tripsync_failures_only_json_counts_whole_sweep(self, capsys):
+        code, out = emit(capsys, "tripsync", "--dim", "32", "--s-range", "1",
+                         "--failures-only", "--format", "json")
+        payload = json.loads(out)
+        assert payload["kites"] == []
+        assert payload["all_passed"] is True and payload["kite_count"] == 7
+
+    @pytest.mark.parametrize("s_range", ["5-3", "", "1-2-3", "x"])
+    def test_usage_error_empty_or_bad_s_range(self, s_range, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "tripsync", "--dim", "32", "--s-range", s_range])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_pathion_table(self, capsys):
         code, out = emit(capsys, "pathion", "--strut", "9")
@@ -162,9 +190,43 @@ class TestVerifyCommand:
         coverage = [r for r in report.results if r.check_id == "coverage/fixtures"]
         assert len(coverage) == 1 and coverage[0].passed
 
+    def test_json_report_independent_of_hash_seed(self):
+        src = str(Path(boxkites.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            runs.append(subprocess.Popen(
+                [sys.executable, "-m", "boxkites.cli", "verify", "--format", "json"],
+                env=env, stdout=subprocess.PIPE,
+            ))
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outputs[0] == outputs[1]
+
     def test_all_sections_listed(self):
         assert set(SECTIONS) == {
             "trips", "fabric", "strut-table", "edge-signs", "loops",
             "quizzical", "mock", "yard", "sync-table", "pathion",
             "census", "tripsync",
         }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every ``boxkites ...`` line of the README's "Command line" section."""
+    section = re.search(r"^## Command line\n(.*?)^## ", README.read_text(), re.M | re.S)
+    lines = [line.split("#")[0] for line in section.group(1).splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("boxkites ")]
+
+
+def test_readme_lists_commands():
+    assert len(readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
