@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import TripIndices, aso_form, trip_orientation
 from .kites import (
@@ -21,6 +21,7 @@ from .kites import (
     BoxKite,
     assessors_for_strut,
     edge_sign,
+    slot_trips,
 )
 from .lariats import TripSyncReport, trip_sync_report
 
@@ -79,7 +80,7 @@ class ZDGraph:
 
 @lru_cache(maxsize=None)
 def zd_graph(n: int, s: int) -> ZDGraph:
-    """Compute every pairwise edge sign; the dichotomy is asserted inside."""
+    """Every pairwise edge sign, from the closed form in ``edge_sign``."""
     context = emanation_context(n, s)
     signs = {}
     for a1, a2 in combinations(context.assessors, 2):
@@ -99,9 +100,10 @@ def _label_kite(n: int, s: int, antipodes: list[tuple[Assessor, Assessor]]) -> B
     complete graph minus the strut matching, giving 35 octahedra of which
     only 7 carry sails; at n=6 there are octahedra whose three strut pairs
     have unequal low XORs, leaving fewer than four trip faces).  So two
-    conditions are imposed: the strut pairs share one low XOR, and at least
-    one transversal face is a triple, which together force exactly four
-    sails in checkerboard position.
+    conditions are imposed: the strut pairs share one low XOR, which the
+    search guarantees before calling here, and at least one of the eight
+    transversals (one vertex per strut) is a triple, which together force
+    exactly four sails in checkerboard position.
 
     A, B, C take the sail whose four slot triples are all positively
     oriented, rotated to start at the smallest low index; ties go to the
@@ -110,44 +112,36 @@ def _label_kite(n: int, s: int, antipodes: list[tuple[Assessor, Assessor]]) -> B
     back to the lexicographically least sail so the sweep can report them
     instead of crashing.  F, E, D are the antipodes of A, B, C.
     """
-    if len({u.o ^ v.o for u, v in antipodes}) != 1:
-        return None
-    partner = {}
+    # low index -> (vertex, its strut partner); lows are distinct in a kite
+    by_low = {}
     for u, v in antipodes:
-        partner[u], partner[v] = v, u
+        by_low[u.o], by_low[v.o] = (u, v), (v, u)
+    first, second, third = ((u.o, v.o) for u, v in antipodes)
     faces = []
-    for triple in combinations(partner, 3):
-        if any(partner[u] == v for u, v in combinations(triple, 2)):
-            continue
-        lows = tuple(v.o for v in triple)
-        if lows[0] ^ lows[1] ^ lows[2]:
-            continue  # not a sail: lows must close under XOR
-        ordered = aso_form(lows)
-        by_low = {v.o: v for v in triple}
-        verts = tuple(by_low[o] for o in ordered)
-        all_positive = all(
-            trip_orientation(*t) > 0
-            for t in (
-                (verts[0].o, verts[1].o, verts[2].o),
-                (verts[0].o, verts[1].hi, verts[2].hi),
-                (verts[0].hi, verts[1].o, verts[2].hi),
-                (verts[0].hi, verts[1].hi, verts[2].o),
-            )
-        )
-        faces.append((ordered, verts, all_positive))
+    for x, y in product(first, second):
+        if x ^ y not in third:
+            continue  # no sail on this transversal: lows must close under XOR
+        ordered = aso_form((x, y, x ^ y))
+        verts = tuple(by_low[o][0] for o in ordered)
+        all_positive = all(trip_orientation(*t) > 0 for t in slot_trips(verts))
+        faces.append((ordered, all_positive))
     if not faces:
         return None
-    faces.sort(key=lambda f: f[0])
-    zigzags = [f for f in faces if f[2]]
-    chosen = zigzags[0] if zigzags else faces[0]
-    vertex_map = dict(zip("ABC", chosen[1]))
-    for letter, abc_letter in (("F", "A"), ("E", "B"), ("D", "C")):
-        vertex_map[letter] = partner[vertex_map[abc_letter]]
+    faces.sort()
+    zigzags = [f for f in faces if f[1]]
+    chosen = (zigzags or faces)[0][0]
+    vertex_map = {}
+    for letter, mate_letter, o in zip("ABC", "FED", chosen):
+        vertex_map[letter], vertex_map[mate_letter] = by_low[o]
     return BoxKite.assemble(n, s, vertex_map)
 
 
 @lru_cache(maxsize=None)
 def _find_box_kites(n: int, s: int) -> tuple[BoxKite, ...]:
+    """Every box-kite's three struts share one low XOR, so triples of
+    non-edges are only formed within a bucket of equal strut XOR.  Each
+    such induced octahedron is met once, as its three non-edges (its only
+    ones) in ascending order, and is then labelled or rejected."""
     graph = zd_graph(n, s)
     assessors = graph.assessors
     index = {a: i for i, a in enumerate(assessors)}
@@ -156,37 +150,31 @@ def _find_box_kites(n: int, s: int) -> tuple[BoxKite, ...]:
         adjacency[index[a1]] |= 1 << index[a2]
         adjacency[index[a2]] |= 1 << index[a1]
 
-    non_edges = [
-        (index[a1], index[a2]) for a1, a2 in graph.non_adjacent_pairs()
-    ]
-    kites = []
-    seen = set()
-    for e1 in range(len(non_edges)):
-        u1, v1 = non_edges[e1]
-        common1 = adjacency[u1] & adjacency[v1]
-        for e2 in range(e1 + 1, len(non_edges)):
-            u2, v2 = non_edges[e2]
-            if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
-                continue
-            common2 = common1 & adjacency[u2] & adjacency[v2]
-            for e3 in range(e2 + 1, len(non_edges)):
-                u3, v3 = non_edges[e3]
-                if not ((common2 >> u3) & 1 and (common2 >> v3) & 1):
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for a1, a2 in graph.non_adjacent_pairs():
+        buckets.setdefault(a1.o ^ a2.o, []).append((index[a1], index[a2]))
+    found = []  # (strut index pairs, kite); the pairs order as the non-edges do
+    for bucket in buckets.values():
+        for e1, (u1, v1) in enumerate(bucket):
+            common1 = adjacency[u1] & adjacency[v1]
+            for e2 in range(e1 + 1, len(bucket)):
+                u2, v2 = bucket[e2]
+                if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
                     continue
-                members = frozenset((u1, v1, u2, v2, u3, v3))
-                if members in seen:
-                    continue
-                seen.add(members)
-                antipodes = [
-                    (assessors[u1], assessors[v1]),
-                    (assessors[u2], assessors[v2]),
-                    (assessors[u3], assessors[v3]),
-                ]
-                kite = _label_kite(n, s, antipodes)
-                if kite is not None:
-                    kites.append(kite)
-    kites.sort(key=lambda kite: tuple(v.o for v in kite.sail("ABC").vertices))
-    return tuple(kites)
+                common2 = common1 & adjacency[u2] & adjacency[v2]
+                for u3, v3 in bucket[e2 + 1 :]:
+                    if not ((common2 >> u3) & 1 and (common2 >> v3) & 1):
+                        continue
+                    antipodes = [
+                        (assessors[u1], assessors[v1]),
+                        (assessors[u2], assessors[v2]),
+                        (assessors[u3], assessors[v3]),
+                    ]
+                    kite = _label_kite(n, s, antipodes)
+                    if kite is not None:
+                        found.append(((u1, v1, u2, v2, u3, v3), kite))
+    found.sort(key=lambda f: (tuple(v.o for v in f[1].sail("ABC").vertices), f[0]))
+    return tuple(kite for _, kite in found)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:

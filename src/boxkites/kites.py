@@ -21,6 +21,7 @@ from .algebra import (
     Hypercomplex,
     TripIndices,
     aso_form,
+    blade_sign,
     enumerate_trips,
     hc_mul,
     trip_orientation,
@@ -118,23 +119,21 @@ def edge_sign(a1: Assessor, a2: Assessor) -> int | None:
     """Edge sign between two assessors, or None when no pairing annihilates.
 
     "+" means like-oriented diagonals multiply to zero, "-" means oppositely
-    oriented ones do.  The two pairings of each class must agree, and the two
-    classes can never both vanish; both facts are asserted here rather than
-    assumed.
+    oriented ones do.  For (a, A) and (b, B) sharing X, the product
+    (e_a + sigma e_A)(e_b + tau e_B) lands on a^b and a^B = A^b only; it
+    vanishes iff sgn(a,b) sgn(A,B) = sgn(a,B) sgn(A,b) and sigma tau =
+    -sgn(a,b) sgn(A,B).  Different X spread it over four indices, so it never
+    vanishes.  The tests check this against the four ``hc_mul`` products.
     """
-    like = is_zero_divisor_pair(a1.slash, a2.slash)
-    like_mate = is_zero_divisor_pair(a1.backslash, a2.backslash)
-    unlike = is_zero_divisor_pair(a1.slash, a2.backslash)
-    unlike_mate = is_zero_divisor_pair(a1.backslash, a2.slash)
-    if like != like_mate or unlike != unlike_mate:
-        raise AssertionError(f"orientation mates disagree for {a1} x {a2}")
-    if like and unlike:
-        raise AssertionError(f"both orientation classes vanish for {a1} x {a2}")
-    if like:
-        return 1
-    if unlike:
-        return -1
-    return None
+    if a1.n != a2.n:
+        raise ValueError("diagonals live in different algebras")
+    a, big_a, b, big_b = a1.o, a1.hi, a2.o, a2.hi
+    if a == b or a ^ big_a != b ^ big_b:
+        return None
+    direct = blade_sign(a, b) * blade_sign(big_a, big_b)
+    if direct != blade_sign(a, big_b) * blade_sign(big_a, b):
+        return None
+    return -direct
 
 
 def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices]:

@@ -33,6 +33,10 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 
 FORMATS = ("markdown", "csv", "json", "dot")
 
+# Largest n whose every strut constant is enumerated on request: the n = 8
+# census takes minutes, and each level above costs far more.
+MAX_WHOLE_LEVEL_N = 8
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -60,6 +64,12 @@ class RenderSpec:
         half = 1 << (self.n - 1)
         if target.needs_strut and not 0 < self.s < half:
             raise ValueError(f"--strut must lie strictly between 0 and {half}")
+        if self.n > MAX_WHOLE_LEVEL_N and target.whole_level(self):
+            raise ValueError(
+                f"target {self.target!r} would search all {half - 1} strut constants "
+                f"of dimension {1 << self.n}; the largest dimension searched whole is "
+                f"{1 << MAX_WHOLE_LEVEL_N} (tripsync can take --s-range instead)"
+            )
 
 
 def markdown_table(headers, rows) -> str:
@@ -300,6 +310,8 @@ class Target:
     sedenion_only: bool = False
     needs_strut: bool = False
     dot: bool = False
+    # whether a request enumerates every strut constant of its level
+    whole_level: Callable[[RenderSpec], bool] = lambda spec: False
 
 
 REGISTRY: dict[str, Target] = {
@@ -352,12 +364,15 @@ REGISTRY: dict[str, Target] = {
         )],
         default_dim=32, needs_strut=True, dot=True,
     ),
-    "census": Target(lambda spec: census_payload(census(spec.n)), _census_blocks),
+    "census": Target(
+        lambda spec: census_payload(census(spec.n)), _census_blocks, whole_level=lambda spec: True
+    ),
     "tripsync": Target(
         lambda spec: sweep_payload(
             trip_sync_sweep(spec.n, spec.s_values or None), spec.failures_only
         ),
         _sweep_blocks,
+        whole_level=lambda spec: not spec.s_values,
     ),
 }
 

@@ -224,9 +224,9 @@ def _section_edge_signs() -> Iterator[CheckResult]:
             "(ABC and DEF negative, the rest positive)",
             dict(sorted(rule.items())), dict(sorted(computed.items())),
         )
-    # Dichotomy and strut cleanness over every assessor pair at n=4 are
-    # asserted inside the edge computation; rebuilding the graphs exercises
-    # them for all 7 strut constants.
+    # The closed-form edge signs are checked against the four hc_mul
+    # products, with the dichotomy asserted, by the test suite's oracle;
+    # here the graphs' edge and strut counts are checked for all 7 s.
     for s in range(1, 8):
         graph = zd_graph(4, s)
         yield _check(

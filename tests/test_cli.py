@@ -109,6 +109,24 @@ class TestEmit:
             main(["emit", "yard", "--dim", "32"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "--dim", "512"],
+        ["census", "--dim", "1024", "--s-range", "1"],
+        ["tripsync", "--dim", "512"],
+    ])
+    def test_whole_level_past_n8_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["emit", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "largest dimension searched whole is 256" in captured.err
+
+    def test_tripsync_s_range_past_n8_runs(self, capsys):
+        code, out = emit(capsys, "tripsync", "--dim", "512", "--s-range", "129")
+        assert code == 0
+        assert out.endswith("overall: pass over 63 kites\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from boxkites.algebra import aso_form, trip_orientation
 from boxkites.emanation import (
     census,
     emanation_assessors,
@@ -18,7 +19,85 @@ from boxkites.fixtures import (
     PATHION_S1_ROWS,
     PATHION_S9_KITES,
 )
-from boxkites.kites import LETTERS, assessors_for_strut, build_box_kite
+from boxkites.kites import LETTERS, BoxKite, assessors_for_strut, build_box_kite
+
+
+def reference_search(n, s):
+    """The search the strut buckets replaced: every triple of non-edges in
+    one global order, each induced octahedron once, then labelled by
+    scanning all 20 vertex triples for XOR-closed transversal faces."""
+    graph = zd_graph(n, s)
+    assessors = graph.assessors
+    adjacency = [0] * len(assessors)
+    non_edges = []
+    for i, j in combinations(range(len(assessors)), 2):
+        if graph.sign(assessors[i], assessors[j]) is None:
+            non_edges.append((i, j))
+        else:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    kites, seen = [], set()
+    for e1, (u1, v1) in enumerate(non_edges):
+        common1 = adjacency[u1] & adjacency[v1]
+        for e2 in range(e1 + 1, len(non_edges)):
+            u2, v2 = non_edges[e2]
+            if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
+                continue
+            common2 = common1 & adjacency[u2] & adjacency[v2]
+            for u3, v3 in non_edges[e2 + 1 :]:
+                if not ((common2 >> u3) & 1 and (common2 >> v3) & 1):
+                    continue
+                members = frozenset((u1, v1, u2, v2, u3, v3))
+                if members in seen:
+                    continue
+                seen.add(members)
+                antipodes = [(assessors[u], assessors[v]) for u, v in ((u1, v1), (u2, v2), (u3, v3))]
+                kite = reference_label(n, s, antipodes)
+                if kite is not None:
+                    kites.append(kite)
+    kites.sort(key=lambda kite: tuple(v.o for v in kite.sail("ABC").vertices))
+    return kites
+
+
+def reference_label(n, s, antipodes):
+    if len({u.o ^ v.o for u, v in antipodes}) != 1:
+        return None
+    partner = {}
+    for u, v in antipodes:
+        partner[u], partner[v] = v, u
+    faces = []
+    for triple in combinations(partner, 3):
+        if any(partner[u] == v for u, v in combinations(triple, 2)):
+            continue
+        lows = tuple(v.o for v in triple)
+        if lows[0] ^ lows[1] ^ lows[2]:
+            continue
+        ordered = aso_form(lows)
+        by_low = {v.o: v for v in triple}
+        verts = tuple(by_low[o] for o in ordered)
+        all_positive = all(
+            trip_orientation(*t) > 0
+            for t in (
+                (verts[0].o, verts[1].o, verts[2].o),
+                (verts[0].o, verts[1].hi, verts[2].hi),
+                (verts[0].hi, verts[1].o, verts[2].hi),
+                (verts[0].hi, verts[1].hi, verts[2].o),
+            )
+        )
+        faces.append((ordered, verts, all_positive))
+    if not faces:
+        return None
+    faces.sort(key=lambda f: f[0])
+    zigzags = [f for f in faces if f[2]]
+    chosen = zigzags[0] if zigzags else faces[0]
+    vertex_map = dict(zip("ABC", chosen[1]))
+    for letter, abc_letter in (("F", "A"), ("E", "B"), ("D", "C")):
+        vertex_map[letter] = partner[vertex_map[abc_letter]]
+    return BoxKite.assemble(n, s, vertex_map)
+
+
+def is_native(kite):
+    return all(u.o ^ v.o == kite.s for u, v in kite.struts)
 
 
 class TestAssessorEnumeration:
@@ -163,6 +242,18 @@ class TestFindBoxKites:
         found = {frozenset(k.vertices) for k in find_box_kites(n, s)}
         assert len(found) == kite_expected
         assert found == set(qualifying)
+
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_reference_search_in_order(self, n):
+        for s in range(1, 1 << (n - 1)):
+            assert find_box_kites(n, s) == reference_search(n, s), s
+
+    @pytest.mark.parametrize("n,expected", [(5, 7), (6, 35), (7, 155), (8, 651)])
+    def test_s1_count_law(self, n, expected):
+        kites = find_box_kites(n, 1)
+        assert len(kites) == ((1 << (n - 2)) - 1) * ((1 << (n - 3)) - 1) // 3 == expected
+        assert all(is_native(kite) for kite in kites)
 
 
 class TestPathionLift:

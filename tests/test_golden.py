@@ -2,8 +2,10 @@
 
 The digests were recorded from the per-target renderers that preceded the
 table-driven registry in ``render.py``; any change to emitted bytes, however
-small, fails here.  DOT is pinned for the two graph targets and must be
-refused, with a usage error, for every other target.
+small, fails here.  The three large n = 6 and n = 7 outputs at the end of
+``GOLDEN`` are the benchmark's reference digests
+(``perfbench/references.json``).  DOT is pinned for the two graph targets
+and must be refused, with a usage error, for every other target.
 """
 
 import hashlib
@@ -93,6 +95,16 @@ GOLDEN = {
         "markdown": "ee5465082813197c259051983e3ceee923385a48ff5d91b32735eca788f12a37",
         "csv": "7a626a03b73227b1074911c2b3b680ebe91ddd498d4e3f763ec2d1c2646bb557",
         "json": "74a8af1f3346606e604f096587796ba8867a23f0b08c47cdce119aa7d3aa03e4",
+    },
+    RenderSpec("census", n=6): {
+        "json": "e539f11be2f5f247c51ae216e01884467dcd599e856e38823bd9513b72600e5e",
+    },
+    # the dear n = 7 tier: 847 kites, mostly non-native
+    RenderSpec("tripsync", n=7, s_values=(47,)): {
+        "json": "25e5a959a442182a0a6019a8cf4cf1358d28d3aaa7c2fc174eb736e211a229c4",
+    },
+    RenderSpec("tripsync", n=7, s_values=(6,)): {
+        "json": "e0bbb0f918c76122c0d8db3d1ff49b37fc50d2daa62588271f083de81f820844",
     },
 }
 

@@ -1,5 +1,9 @@
 """Box-kite assembly against the strut table, and the sail machinery."""
 
+import random
+from functools import cache
+from itertools import combinations
+
 import pytest
 
 from boxkites.fixtures import (
@@ -11,6 +15,7 @@ from boxkites.fixtures import (
     TRIGRAM_SWITCHED,
     TRIGRAM_UNSWITCHED,
 )
+from boxkites.algebra import hc_mul
 from boxkites.kites import (
     LETTERS,
     Assessor,
@@ -18,6 +23,7 @@ from boxkites.kites import (
     assessors_for_strut,
     automorpheme,
     build_box_kite,
+    edge_sign,
     goto_numbers,
     is_zero_divisor_pair,
     sail_six_cycle,
@@ -76,6 +82,57 @@ class TestZeroDivisorPairs:
     def test_symmetry(self):
         a, b = Assessor(4, 3, 10), Assessor(4, 6, 15)
         assert is_zero_divisor_pair(b.backslash, a.slash)
+
+
+@cache
+def diagonal_reps(a):
+    return a.slash.rep, a.backslash.rep
+
+
+def oracle_edge_sign(a1, a2):
+    """Edge sign from the four diagonal products, each computed by hc_mul.
+
+    The two pairings of each orientation class must agree, and the two
+    classes must never both vanish.
+    """
+    (slash1, backslash1), (slash2, backslash2) = diagonal_reps(a1), diagonal_reps(a2)
+    like = hc_mul(slash1, slash2).is_zero
+    like_mate = hc_mul(backslash1, backslash2).is_zero
+    unlike = hc_mul(slash1, backslash2).is_zero
+    unlike_mate = hc_mul(backslash1, slash2).is_zero
+    assert like == like_mate and unlike == unlike_mate, f"orientation mates disagree for {a1} x {a2}"
+    assert not (like and unlike), f"both orientation classes vanish for {a1} x {a2}"
+    return 1 if like else -1 if unlike else None
+
+
+def every_assessor(n):
+    return [a for s in range(1, 1 << (n - 1)) for a in assessors_for_strut(s, n)]
+
+
+class TestEdgeSignClosedForm:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_pair_matches_oracle(self, n):
+        # same s, across different s, and each assessor with itself
+        seen = set()
+        for a1, a2 in combinations(every_assessor(n), 2):
+            sign = edge_sign(a1, a2)
+            assert sign == oracle_edge_sign(a1, a2), (a1, a2)
+            if a1.s != a2.s:
+                assert sign is None, (a1, a2)
+            seen.add(sign)
+        for a in every_assessor(n):
+            assert edge_sign(a, a) is None
+            assert oracle_edge_sign(a, a) is None
+        assert seen == {1, -1, None}
+
+    def test_seeded_full_strut_sets_at_n7(self):
+        for s in random.Random(7).sample(range(1, 64), 3):
+            for a1, a2 in combinations(assessors_for_strut(s, 7), 2):
+                assert edge_sign(a1, a2) == oracle_edge_sign(a1, a2), (a1, a2)
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            edge_sign(Assessor(4, 3, 10), Assessor(5, 3, 26))
 
 
 class TestStrutTable:
