@@ -20,7 +20,6 @@ from .algebra import (
 )
 from .emanation import (
     CensusReport,
-    EmanationContext,
     SweepReport,
     ZDGraph,
     census,
@@ -78,7 +77,6 @@ __all__ = [
     "CensusReport",
     "Counterexample",
     "Diagonal",
-    "EmanationContext",
     "Hypercomplex",
     "LariatResult",
     "LariatTable",

@@ -11,7 +11,6 @@ whole sweeps of strut constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import TripIndices, aso_form, trip_orientation
@@ -34,60 +33,50 @@ def emanation_assessors(n: int, s: int) -> list[Assessor]:
 
 
 @dataclass(frozen=True)
-class EmanationContext:
+class ZDGraph:
+    """Zero-divisor adjacency over the assessors of (n, s), with edge signs.
+
+    ``signs`` is keyed by position pairs (i, j), i < j, in ``assessors``.
+    """
+
     n: int
     s: int
-    x: int
     assessors: tuple[Assessor, ...]
+    signs: dict[tuple[int, int], int]
 
-
-def emanation_context(n: int, s: int) -> EmanationContext:
-    assessors = tuple(emanation_assessors(n, s))
-    return EmanationContext(n, s, (1 << (n - 1)) + s, assessors)
-
-
-@dataclass(frozen=True)
-class ZDGraph:
-    """Zero-divisor adjacency over a context's assessors, with edge signs."""
-
-    context: EmanationContext
-    signs: dict
-
-    @property
-    def assessors(self) -> tuple[Assessor, ...]:
-        return self.context.assessors
+    def _position(self, a: Assessor) -> int | None:
+        if a.n != self.n or a.s != self.s:
+            return None  # another (n, s): never adjacent here
+        return a.o - 1 - (a.o > self.s)  # ascending lows, s itself skipped
 
     def sign(self, a1: Assessor, a2: Assessor) -> int | None:
-        return self.signs.get(frozenset((a1, a2)))
+        i, j = self._position(a1), self._position(a2)
+        if i is None or j is None:
+            return None
+        return self.signs.get((min(i, j), max(i, j)))
 
     def edges(self) -> list[tuple[Assessor, Assessor, int]]:
-        out = []
-        for i, a1 in enumerate(self.assessors):
-            for a2 in self.assessors[i + 1 :]:
-                sign = self.sign(a1, a2)
-                if sign is not None:
-                    out.append((a1, a2, sign))
-        return out
+        nodes = self.assessors
+        return [(nodes[i], nodes[j], sign) for (i, j), sign in self.signs.items()]
 
     def non_adjacent_pairs(self) -> list[tuple[Assessor, Assessor]]:
-        out = []
-        for i, a1 in enumerate(self.assessors):
-            for a2 in self.assessors[i + 1 :]:
-                if self.sign(a1, a2) is None:
-                    out.append((a1, a2))
-        return out
+        nodes = self.assessors
+        return [
+            (nodes[i], nodes[j])
+            for i, j in combinations(range(len(nodes)), 2)
+            if (i, j) not in self.signs
+        ]
 
 
-@lru_cache(maxsize=None)
 def zd_graph(n: int, s: int) -> ZDGraph:
     """Every pairwise edge sign, from the closed form in ``edge_sign``."""
-    context = emanation_context(n, s)
+    assessors = tuple(emanation_assessors(n, s))
     signs = {}
-    for a1, a2 in combinations(context.assessors, 2):
-        sign = edge_sign(a1, a2)
+    for i, j in combinations(range(len(assessors)), 2):
+        sign = edge_sign(assessors[i], assessors[j])
         if sign is not None:
-            signs[frozenset((a1, a2))] = sign
-    return ZDGraph(context, signs)
+            signs[i, j] = sign
+    return ZDGraph(n, s, assessors, signs)
 
 
 def _label_kite(n: int, s: int, antipodes: list[tuple[Assessor, Assessor]]) -> BoxKite | None:
@@ -136,24 +125,31 @@ def _label_kite(n: int, s: int, antipodes: list[tuple[Assessor, Assessor]]) -> B
     return BoxKite.assemble(n, s, vertex_map)
 
 
-@lru_cache(maxsize=None)
-def _find_box_kites(n: int, s: int) -> tuple[BoxKite, ...]:
-    """Every box-kite's three struts share one low XOR, so triples of
+def find_box_kites(n: int, s: int) -> list[BoxKite]:
+    """All box-kites for (n, s): induced octahedra carrying four sails.
+
+    The three non-adjacent antipodal pairs are the struts; the sail
+    conditions (one shared strut low-XOR, four transversal faces with
+    XOR-closed low indices) filter out octahedra that the dense
+    zero-divisor graphs contain incidentally.  Ordered by the low-index
+    triple of the A, B, C sail.
+
+    Every box-kite's three struts share one low XOR, so triples of
     non-edges are only formed within a bucket of equal strut XOR.  Each
     such induced octahedron is met once, as its three non-edges (its only
-    ones) in ascending order, and is then labelled or rejected."""
+    ones) in ascending order, and is then labelled or rejected.
+    """
     graph = zd_graph(n, s)
-    assessors = graph.assessors
-    index = {a: i for i, a in enumerate(assessors)}
+    assessors, signs = graph.assessors, graph.signs
     adjacency = [0] * len(assessors)
-    for a1, a2, _sign in graph.edges():
-        adjacency[index[a1]] |= 1 << index[a2]
-        adjacency[index[a2]] |= 1 << index[a1]
-
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for a1, a2 in graph.non_adjacent_pairs():
-        buckets.setdefault(a1.o ^ a2.o, []).append((index[a1], index[a2]))
-    found = []  # (strut index pairs, kite); the pairs order as the non-edges do
+    for i, j in combinations(range(len(assessors)), 2):
+        if (i, j) in signs:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+        else:
+            buckets.setdefault(assessors[i].o ^ assessors[j].o, []).append((i, j))
+    found = []  # (ABC lows, strut index pairs, kite); the pairs order as the non-edges do
     for bucket in buckets.values():
         for e1, (u1, v1) in enumerate(bucket):
             common1 = adjacency[u1] & adjacency[v1]
@@ -172,21 +168,10 @@ def _find_box_kites(n: int, s: int) -> tuple[BoxKite, ...]:
                     ]
                     kite = _label_kite(n, s, antipodes)
                     if kite is not None:
-                        found.append(((u1, v1, u2, v2, u3, v3), kite))
-    found.sort(key=lambda f: (tuple(v.o for v in f[1].sail("ABC").vertices), f[0]))
-    return tuple(kite for _, kite in found)
-
-
-def find_box_kites(n: int, s: int) -> list[BoxKite]:
-    """All box-kites for (n, s): induced octahedra carrying four sails.
-
-    The three non-adjacent antipodal pairs are the struts; the sail
-    conditions (one shared strut low-XOR, four transversal faces with
-    XOR-closed low indices) filter out octahedra that the dense
-    zero-divisor graphs contain incidentally.  Ordered by the low-index
-    triple of the A, B, C sail.
-    """
-    return list(_find_box_kites(n, s))
+                        abc_lows = tuple(v.o for v in kite.vertices[:3])
+                        found.append((abc_lows, (u1, v1, u2, v2, u3, v3), kite))
+    found.sort(key=lambda f: f[:2])
+    return [kite for *_, kite in found]
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:

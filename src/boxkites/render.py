@@ -70,6 +70,12 @@ class RenderSpec:
                 f"of dimension {1 << self.n}; the largest dimension searched whole is "
                 f"{1 << MAX_WHOLE_LEVEL_N} (tripsync can take --s-range instead)"
             )
+        if (self.s_values or self.failures_only) and not target.sweep:
+            sweeps = " or ".join(name for name, t in REGISTRY.items() if t.sweep)
+            raise ValueError(
+                f"--s-range and --failures-only select sweep rows; only the {sweeps} "
+                f"target takes them, not {self.target!r}"
+            )
 
 
 def markdown_table(headers, rows) -> str:
@@ -310,6 +316,8 @@ class Target:
     sedenion_only: bool = False
     needs_strut: bool = False
     dot: bool = False
+    # whether a request may pick its strut constants and hide passing rows
+    sweep: bool = False
     # whether a request enumerates every strut constant of its level
     whole_level: Callable[[RenderSpec], bool] = lambda spec: False
 
@@ -372,7 +380,7 @@ REGISTRY: dict[str, Target] = {
             trip_sync_sweep(spec.n, spec.s_values or None), spec.failures_only
         ),
         _sweep_blocks,
-        whole_level=lambda spec: not spec.s_values,
+        sweep=True, whole_level=lambda spec: not spec.s_values,
     ),
 }
 

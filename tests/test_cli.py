@@ -14,7 +14,7 @@ import boxkites
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
 from boxkites.lariats import switching_yard
-from boxkites.render import RenderSpec, box_kite_payload, cmd_emit, parse_box_kite
+from boxkites.render import TARGETS, RenderSpec, box_kite_payload, cmd_emit, parse_box_kite
 from boxkites.verify import SECTIONS, run_verification
 
 
@@ -121,6 +121,16 @@ class TestEmit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "largest dimension searched whole is 256" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--s-range", "1"], ["--failures-only"]])
+    @pytest.mark.parametrize("target", [t for t in TARGETS if t != "tripsync"])
+    def test_sweep_flags_refused_off_tripsync(self, target, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["emit", target, *flags])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "only the tripsync target takes them" in captured.err
 
     def test_tripsync_s_range_past_n8_runs(self, capsys):
         code, out = emit(capsys, "tripsync", "--dim", "512", "--s-range", "129")

@@ -1,5 +1,7 @@
 """General 2^n enumeration: graphs, kite search, lifts, census, sweeps."""
 
+import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -146,8 +148,15 @@ class TestZDGraph:
 
     def test_edge_signs_recorded(self):
         graph = zd_graph(4, 1)
-        for _a1, _a2, sign in graph.edges():
+        for a1, a2, sign in graph.edges():
             assert sign in (-1, 1)
+            assert graph.sign(a1, a2) == graph.sign(a2, a1) == sign
+        # struts, and assessors of another (n, s), are never adjacent
+        for a1, a2 in graph.non_adjacent_pairs():
+            assert graph.sign(a1, a2) is None and graph.sign(a2, a1) is None
+        for foreign in zd_graph(4, 2).assessors + zd_graph(5, 1).assessors:
+            for a in graph.assessors:
+                assert graph.sign(a, foreign) is None and graph.sign(foreign, a) is None
 
 
 class TestFindBoxKites:
@@ -290,6 +299,21 @@ class TestCensus:
             assert count == expected, s
         assert report.total == PATHION_CENSUS_CLAIMS["arithmetic_total"]
         assert report.total != PATHION_CENSUS_CLAIMS["stated_total"]
+
+    def test_census_retains_nothing(self):
+        # each (n, s) is computed once and dropped: no graph or kite outlives
+        # the call (blade_sign's small table of signs is all that stays)
+        census(4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            census(6)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20, retained
 
 
 class TestSweep:
