@@ -73,25 +73,61 @@ class LariatResult:
 LariatResult.ZERO = LariatResult(0, None, 0)
 
 
+class _Lines:
+    """A box-kite's yard symbols as integer terms, and the way back.
+
+    ``terms`` holds each symbol representative as sorted (index, coeff)
+    pairs; ``lookup`` maps every signed representative to (sign, symbol),
+    the first symbol in YARD_SYMBOLS order winning, so collapsing a product
+    is one gcd and one dict lookup.
+    """
+
+    def __init__(self, bk: BoxKite) -> None:
+        self.n = bk.n
+        self.terms = {sym: symbol_rep(bk, sym).terms() for sym in YARD_SYMBOLS}
+        self.lookup: dict[tuple[tuple[int, int], ...], tuple[int, str]] = {}
+        for sym, terms in self.terms.items():
+            self.lookup.setdefault(tuple(terms), (1, sym))
+            self.lookup.setdefault(tuple((i, -c) for i, c in terms), (-1, sym))
+
+    def collapse(self, coeffs: dict[int, int]) -> LariatResult:
+        if not coeffs:
+            return LariatResult.ZERO
+        content = gcd(*(abs(c) for c in coeffs.values()))
+        reduced = tuple(sorted((i, c // content) for i, c in coeffs.items()))
+        try:
+            sign, symbol = self.lookup[reduced]
+        except KeyError:
+            raise NonCollapsibleError(
+                f"product {Hypercomplex(self.n, coeffs)} is not a scaled yard symbol"
+            ) from None
+        return LariatResult(sign, symbol, content)
+
+    def product(self, *symbols: str) -> LariatResult:
+        """Left-to-right product of yard lines, collapsed."""
+        coeffs = dict(self.terms[symbols[0]])
+        for sym in symbols[1:]:
+            out: dict[int, int] = {}
+            for i, ci in coeffs.items():
+                for j, cj in self.terms[sym]:
+                    out[i ^ j] = out.get(i ^ j, 0) + ci * cj * blade_sign(i, j)
+            coeffs = {i: c for i, c in out.items() if c}
+        return self.collapse(coeffs)
+
+
 def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
     """Reduce an exact product to a yard cell: strip positive content, match.
 
-    Raises NonCollapsibleError when the reduced product is not plus or minus
-    the representative of any yard symbol, which would break lariat closure.
+    Raises ValueError when the product lives in another algebra than the
+    box-kite, and NonCollapsibleError when the reduced product is not plus or
+    minus the representative of any yard symbol, which would break lariat
+    closure.
     """
-    if product.is_zero:
-        return LariatResult.ZERO
-    content = gcd(*(abs(c) for c in product.coeffs.values()))
-    reduced = Hypercomplex(
-        bk.n, {i: c // content for i, c in product.coeffs.items()}
-    )
-    for symbol in YARD_SYMBOLS:
-        rep = symbol_rep(bk, symbol)
-        if reduced == rep:
-            return LariatResult(1, symbol, content)
-        if reduced == -rep:
-            return LariatResult(-1, symbol, content)
-    raise NonCollapsibleError(f"product {product} is not a scaled yard symbol")
+    if product.dim_exponent != bk.n:
+        raise ValueError(
+            f"product lives in 2^{product.dim_exponent}-ions, box-kite in 2^{bk.n}-ions"
+        )
+    return _Lines(bk).collapse(product.coeffs)
 
 
 def lariat_product(p: str, q: str, bk: BoxKite) -> LariatResult:
@@ -119,9 +155,8 @@ class LariatTable:
 
 
 def _table(bk: BoxKite, symbols: tuple[str, ...]) -> LariatTable:
-    cells = tuple(
-        tuple(lariat_product(p, q, bk) for q in symbols) for p in symbols
-    )
+    lines = _Lines(bk)
+    cells = tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
     return LariatTable(bk.n, bk.s, symbols, cells)
 
 
@@ -196,14 +231,12 @@ class QuizzicalLariat:
 
 
 def _quizzical(bk: BoxKite, sail: Sail, symbols: tuple[str, ...]) -> QuizzicalLariat:
-    cells = tuple(
-        tuple(lariat_product(p, q, bk) for q in symbols) for p in symbols
-    )
+    lines = _Lines(bk)
+    cells = tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
     holds = all(
         cells[i][i] == LariatResult(-1, "R", 2) for i in range(3)
     )
-    reps = [symbol_rep(bk, sym) for sym in symbols]
-    triple = collapse(bk, hc_mul(hc_mul(reps[0], reps[1]), reps[2]))
+    triple = lines.product(*symbols)
     holds = holds and triple.sign == -1 and triple.symbol == "R"
     return QuizzicalLariat(bk.n, bk.s, sail.name, symbols, cells, holds)
 

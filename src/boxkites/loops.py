@@ -3,11 +3,14 @@
 A unit loop here is the set {+-e_0} union {+-e_i : i in axes} for a set of
 axis indices closed under XOR.  Closure under the algebra product then comes
 for free, since a product of signed units is a signed unit on the XOR index.
+The identity checks multiply blades only to fill the loop's Cayley table of
+element positions; the exhaustive triple scans then read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 from .algebra import BasisBlade
@@ -56,35 +59,56 @@ class Counterexample:
         )
 
 
-# Each form maps a triple to one or more (lhs, rhs) equations to compare.
-Equations = tuple[tuple[BasisBlade, BasisBlade], ...]
-TripleForm = Callable[[BasisBlade, BasisBlade, BasisBlade], Equations]
+# Each form maps a triple of loop positions to one or more (lhs, rhs)
+# equations between positions, read off the loop's Cayley table t, where
+# t[a][b] is the position of elements[a] * elements[b].
+CayleyTable = list[list[int]]
+Equations = tuple[tuple[int, int], ...]
+TripleForm = Callable[[CayleyTable, int, int, int], Equations]
 
 # The three classical Moufang identities; "moufang" checks the middle one.
 MOUFANG_FORMS: dict[str, TripleForm] = {
-    "middle": lambda x, y, z: (((x * y) * (z * x), x * ((y * z) * x)),),
-    "left": lambda x, y, z: ((x * (y * (x * z)), ((x * y) * x) * z),),
-    "right": lambda x, y, z: ((((x * y) * z) * y, x * (y * (z * y))),),
+    # (x*y)*(z*x) = x*((y*z)*x)
+    "middle": lambda t, x, y, z: ((t[t[x][y]][t[z][x]], t[x][t[t[y][z]][x]]),),
+    # x*(y*(x*z)) = ((x*y)*x)*z
+    "left": lambda t, x, y, z: ((t[x][t[y][t[x][z]]], t[t[t[x][y]][x]][z]),),
+    # ((x*y)*z)*y = x*(y*(z*y))
+    "right": lambda t, x, y, z: ((t[t[t[x][y]][z]][y], t[x][t[y][t[z][y]]]),),
 }
 
 IDENTITY_FORMS: dict[str, TripleForm] = {
     "moufang": MOUFANG_FORMS["middle"],
-    "associative": lambda x, y, z: (((x * y) * z, x * (y * z)),),
-    "flexible": lambda x, y, z: (((x * y) * x, x * (y * x)),),
-    "alternative": lambda x, y, z: (
-        ((x * x) * y, x * (x * y)),
-        ((y * x) * x, y * (x * x)),
+    # (x*y)*z = x*(y*z)
+    "associative": lambda t, x, y, z: ((t[t[x][y]][z], t[x][t[y][z]]),),
+    # (x*y)*x = x*(y*x)
+    "flexible": lambda t, x, y, z: ((t[t[x][y]][x], t[x][t[y][x]]),),
+    # (x*x)*y = x*(x*y) and (y*x)*x = y*(x*x)
+    "alternative": lambda t, x, y, z: (
+        (t[t[x][x]][y], t[x][t[x][y]]),
+        (t[t[y][x]][x], t[y][t[x][x]]),
     ),
 }
 
 
-def _scan(loop: UnitLoop, name: str, form: TripleForm) -> Optional[Counterexample]:
-    for x in loop.elements:
-        for y in loop.elements:
-            for z in loop.elements:
-                for lhs, rhs in form(x, y, z):
-                    if lhs != rhs:
-                        return Counterexample(name, x, y, z, lhs, rhs)
+def _cayley_table(loop: UnitLoop) -> CayleyTable:
+    """Positions of all pairwise products: one blade product per cell."""
+    position = {element: k for k, element in enumerate(loop.elements)}
+    try:
+        return [[position[x * y] for y in loop.elements] for x in loop.elements]
+    except KeyError:
+        raise ValueError("loop elements are not closed under the product") from None
+
+
+def _scan(
+    loop: UnitLoop, table: CayleyTable, name: str, form: TripleForm
+) -> Optional[Counterexample]:
+    """First failing signed triple in (x, y, z) order, over every triple."""
+    positions = range(len(loop.elements))
+    for x, y, z in product(positions, repeat=3):
+        for lhs, rhs in form(table, x, y, z):
+            if lhs != rhs:
+                e = loop.elements
+                return Counterexample(name, e[x], e[y], e[z], e[lhs], e[rhs])
     return None
 
 
@@ -92,13 +116,14 @@ def check_identity(loop: UnitLoop, identity: str) -> Optional[Counterexample]:
     """Exhaustively test an identity; None means it holds everywhere."""
     if identity not in IDENTITY_FORMS:
         raise ValueError(f"unknown identity {identity!r}")
-    return _scan(loop, identity, IDENTITY_FORMS[identity])
+    return _scan(loop, _cayley_table(loop), identity, IDENTITY_FORMS[identity])
 
 
 def moufang_report(loop: UnitLoop) -> dict[str, Optional[Counterexample]]:
     """All three Moufang forms, since finite loops can in principle split them."""
+    table = _cayley_table(loop)
     return {
-        name: _scan(loop, f"moufang-{name}", form)
+        name: _scan(loop, table, f"moufang-{name}", form)
         for name, form in MOUFANG_FORMS.items()
     }
 

@@ -5,7 +5,10 @@ table-driven registry in ``render.py``; any change to emitted bytes, however
 small, fails here.  The three large n = 6 and n = 7 outputs at the end of
 ``GOLDEN`` are the benchmark's reference digests
 (``perfbench/references.json``).  DOT is pinned for the two graph targets
-and must be refused, with a usage error, for every other target.
+and must be refused, with a usage error, for every other target.  The full
+``boxkites verify --format json`` report is pinned as well: it carries every
+check's expected and computed value, so it fixes every lariat table and loop
+verdict that verify computes.
 """
 
 import hashlib
@@ -109,6 +112,8 @@ GOLDEN = {
 }
 
 
+VERIFY_JSON = "5136030e1c3a6877b08533cfa331449cbd79a12410072d59aeed6854d5c0676d"
+
 DOT_TARGETS = ("box-kite", "pathion")
 
 
@@ -142,3 +147,9 @@ def test_dot_refused_for_non_graph_targets(target):
     with pytest.raises(SystemExit) as err:
         main(["emit", target, "--format", "dot"])
     assert err.value.code == 2
+
+
+def test_verify_json_matches_golden(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON

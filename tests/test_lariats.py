@@ -1,6 +1,7 @@
 """Lariat products and tables against the printed fixtures."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from boxkites.fixtures import (
     SWITCHING_YARD,
     SYNC_TABLE,
 )
+from boxkites.emanation import find_box_kites
 from boxkites.kites import build_box_kite
 from boxkites.lariats import (
     YARD_SYMBOLS,
@@ -84,6 +86,11 @@ class TestLariatProduct:
     def test_non_collapsible_raises(self):
         with pytest.raises(NonCollapsibleError):
             collapse(bk1(), Hypercomplex(4, {1: 1, 2: 1}))
+
+    def test_product_from_another_algebra_refused(self):
+        for product in (Hypercomplex(5, {0: 3}), Hypercomplex(3, {0: 1})):
+            with pytest.raises(ValueError):
+                collapse(bk1(), product)
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
@@ -229,3 +236,66 @@ class TestPathionLariats:
             assert yard.zero_count() == 48
             for strut in ("AF", "BE", "CD"):
                 assert is_octonion_isomorphic(mock_octonion_table(kite, strut))
+
+
+def collapse_oracle(bk, product):
+    """Collapse by comparing the reduced product with +-symbol_rep, in
+    YARD_SYMBOLS order: the oracle for the integer lookup in ``lariats``."""
+    if product.is_zero:
+        return LariatResult.ZERO
+    content = gcd(*(abs(c) for c in product.coeffs.values()))
+    reduced = Hypercomplex(bk.n, {i: c // content for i, c in product.coeffs.items()})
+    for symbol in YARD_SYMBOLS:
+        rep = symbol_rep(bk, symbol)
+        if reduced == rep:
+            return LariatResult(1, symbol, content)
+        if reduced == -rep:
+            return LariatResult(-1, symbol, content)
+    raise NonCollapsibleError(f"product {product} is not a scaled yard symbol")
+
+
+def oracle_cell(bk, *symbols):
+    product = symbol_rep(bk, symbols[0])
+    for symbol in symbols[1:]:
+        product = hc_mul(product, symbol_rep(bk, symbol))
+    return collapse_oracle(bk, product)
+
+
+# the seven sedenion box-kites, and every pathion kite at three strut constants
+ORACLE_KITES = [(f"n4-s{s}", build_box_kite(s)) for s in range(1, 8)] + [
+    (f"n5-s{s}-{k}", kite)
+    for s in (1, 8, 9)
+    for k, kite in enumerate(find_box_kites(5, s))
+]
+
+
+@pytest.mark.parametrize(
+    ("label", "bk"), ORACLE_KITES, ids=[label for label, _ in ORACLE_KITES]
+)
+class TestIntegerKernelAgainstOracle:
+    def test_switching_yard(self, label, bk):
+        yard = switching_yard(bk)
+        expected = tuple(
+            tuple(oracle_cell(bk, p, q) for q in YARD_SYMBOLS) for p in YARD_SYMBOLS
+        )
+        assert yard.cells == expected
+
+    def test_mock_tables(self, label, bk):
+        for strut in ("AF", "BE", "CD"):
+            table = mock_octonion_table(bk, strut)
+            expected = tuple(
+                tuple(oracle_cell(bk, p, q) for q in table.symbols) for p in table.symbols
+            )
+            assert table.cells == expected, strut
+
+    def test_quizzical_tables(self, label, bk):
+        for lariat in quizzical_tables(bk):
+            symbols = lariat.symbols
+            expected = tuple(
+                tuple(oracle_cell(bk, p, q) for q in symbols) for p in symbols
+            )
+            assert lariat.cells == expected, symbols
+            triple = oracle_cell(bk, *symbols)
+            holds = all(expected[i][i] == LariatResult(-1, "R", 2) for i in range(3))
+            holds = holds and (triple.sign, triple.symbol) == (-1, "R")
+            assert lariat.relations_hold == holds, symbols

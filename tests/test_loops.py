@@ -1,12 +1,19 @@
 """Unit-loop closures and the identity checks that separate them."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxkites.fixtures import O_TRIPS
+from boxkites.algebra import BasisBlade
+from boxkites.fixtures import O_TRIPS, S_TRIPS
 from boxkites.kites import automorpheme, octonion_loop_axes
 from boxkites.loops import (
+    IDENTITY_FORMS,
+    MOUFANG_FORMS,
+    Counterexample,
+    UnitLoop,
     check_identity,
     is_quaternion_group,
     loop_closure,
@@ -107,3 +114,66 @@ class TestFamilies:
         assert is_quaternion_group(loop_closure({3, 13, 14}))
         assert not is_quaternion_group(loop_closure({1}))
         assert not is_quaternion_group(loop_closure(set(range(1, 8))))
+
+
+# The identity forms and triple scan as plain BasisBlade arithmetic: the
+# oracle for the Cayley-table scan in ``loops``.
+ORACLE_FORMS = {
+    "moufang-middle": lambda x, y, z: (((x * y) * (z * x), x * ((y * z) * x)),),
+    "moufang-left": lambda x, y, z: ((x * (y * (x * z)), ((x * y) * x) * z),),
+    "moufang-right": lambda x, y, z: ((((x * y) * z) * y, x * (y * (z * y))),),
+    "associative": lambda x, y, z: (((x * y) * z, x * (y * z)),),
+    "flexible": lambda x, y, z: (((x * y) * x, x * (y * x)),),
+    "alternative": lambda x, y, z: (
+        ((x * x) * y, x * (x * y)),
+        ((y * x) * x, y * (x * x)),
+    ),
+}
+
+
+def oracle_scan(loop, name):
+    form = ORACLE_FORMS[name]
+    for x in loop.elements:
+        for y in loop.elements:
+            for z in loop.elements:
+                for lhs, rhs in form(x, y, z):
+                    if lhs != rhs:
+                        return Counterexample(name, x, y, z, lhs, rhs)
+    return None
+
+
+ORACLE_LOOPS = (
+    [("octonion", loop_closure(set(range(1, 8))))]
+    + [(f"automorpheme-{t}", loop_closure(automorpheme(t))) for t in O_TRIPS]
+    + [(f"octonion-copy-{t}", loop_closure(octonion_loop_axes(t))) for t in O_TRIPS]
+    + [(f"q8-{t}", loop_closure(set(t))) for t in O_TRIPS + S_TRIPS]
+)
+
+
+class TestCayleyTableScan:
+    def test_forms_cover_the_oracle(self):
+        moufang = {f"moufang-{form}" for form in MOUFANG_FORMS}
+        assert set(IDENTITY_FORMS) - {"moufang"} | moufang == set(ORACLE_FORMS)
+        assert IDENTITY_FORMS["moufang"] is MOUFANG_FORMS["middle"]
+
+    @pytest.mark.parametrize(
+        ("label", "loop"), ORACLE_LOOPS, ids=[label for label, _ in ORACLE_LOOPS]
+    )
+    def test_first_counterexample_matches_blade_scan(self, label, loop):
+        # field for field, None included, for every identity and Moufang form
+        report = moufang_report(loop)
+        assert list(report) == list(MOUFANG_FORMS)
+        for form, counterexample in report.items():
+            assert counterexample == oracle_scan(loop, f"moufang-{form}"), form
+        # "moufang" is the middle form under its own name
+        middle = report["middle"]
+        expected = middle and replace(middle, identity="moufang")
+        assert check_identity(loop, "moufang") == expected
+        for identity in ("associative", "flexible", "alternative"):
+            assert check_identity(loop, identity) == oracle_scan(loop, identity), identity
+
+    def test_unclosed_elements_refused(self):
+        elements = (BasisBlade(1, 0), BasisBlade(1, 1), BasisBlade(1, 2))
+        loop = UnitLoop(frozenset({1, 2}), elements, False)
+        with pytest.raises(ValueError):
+            check_identity(loop, "associative")
