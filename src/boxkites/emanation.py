@@ -16,6 +16,7 @@ from itertools import combinations, product
 from .algebra import TripIndices, aso_form, trip_orientation
 from .kites import (
     LETTERS,
+    STRUT_LETTER_PAIRS,
     Assessor,
     BoxKite,
     assessors_for_strut,
@@ -79,68 +80,27 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     return ZDGraph(n, s, assessors, signs)
 
 
-def _label_kite(n: int, s: int, antipodes: list[tuple[Assessor, Assessor]]) -> BoxKite | None:
-    """Canonical letters for an octahedron, or None when it is no box-kite.
+# Letter-index pairs of a box-kite's twelve edges, in ``BoxKite.assemble`` order.
+_EDGES = tuple(
+    (i, j, frozenset((p, q)))
+    for (i, p), (j, q) in combinations(enumerate(LETTERS), 2)
+    if (p, q) not in STRUT_LETTER_PAIRS
+)
 
-    A box-kite is more than an induced octahedron with clean antipodes: it
-    must carry the checkerboard of four sails, transversal faces whose low
-    indices close under XOR.  The dense zero-divisor graphs contain many
-    octahedra without that structure (for s=1 at n=5 the graph is the
-    complete graph minus the strut matching, giving 35 octahedra of which
-    only 7 carry sails; at n=6 there are octahedra whose three strut pairs
-    have unequal low XORs, leaving fewer than four trip faces).  So two
-    conditions are imposed: the strut pairs share one low XOR, which the
-    search guarantees before calling here, and at least one of the eight
-    transversals (one vertex per strut) is a triple, which together force
-    exactly four sails in checkerboard position.
 
-    A, B, C take the sail whose four slot triples are all positively
-    oriented, rotated to start at the smallest low index; ties go to the
-    lexicographically least low triple.  Kites with no zigzag sail exist
-    (trip-sync counterexamples appear at n=6 for s above 24); those fall
-    back to the lexicographically least sail so the sweep can report them
-    instead of crashing.  F, E, D are the antipodes of A, B, C.
+def _kite_struts(graph: ZDGraph):
+    """Strut position triples (u1, v1, u2, v2, u3, v3) of every box-kite.
+
+    Non-edges are bucketed by low XOR t.  Two cross-adjacent struts
+    {a, a^t} and {b, b^t} of one bucket fix the third as {a^b, a^b^t},
+    found by position; it must avoid the low s, come after the second in
+    the bucket, be a non-edge, and be adjacent to all four vertices of the
+    first two.  Each kite is met once, its struts in bucket order.  On the
+    algebra's graphs (checked for n <= 8) only the order condition ever
+    rejects; the others keep the search exact on any graph.
     """
-    # low index -> (vertex, its strut partner); lows are distinct in a kite
-    by_low = {}
-    for u, v in antipodes:
-        by_low[u.o], by_low[v.o] = (u, v), (v, u)
-    first, second, third = ((u.o, v.o) for u, v in antipodes)
-    faces = []
-    for x, y in product(first, second):
-        if x ^ y not in third:
-            continue  # no sail on this transversal: lows must close under XOR
-        ordered = aso_form((x, y, x ^ y))
-        verts = tuple(by_low[o][0] for o in ordered)
-        all_positive = all(trip_orientation(*t) > 0 for t in slot_trips(verts))
-        faces.append((ordered, all_positive))
-    if not faces:
-        return None
-    faces.sort()
-    zigzags = [f for f in faces if f[1]]
-    chosen = (zigzags or faces)[0][0]
-    vertex_map = {}
-    for letter, mate_letter, o in zip("ABC", "FED", chosen):
-        vertex_map[letter], vertex_map[mate_letter] = by_low[o]
-    return BoxKite.assemble(n, s, vertex_map)
-
-
-def find_box_kites(n: int, s: int) -> list[BoxKite]:
-    """All box-kites for (n, s): induced octahedra carrying four sails.
-
-    The three non-adjacent antipodal pairs are the struts; the sail
-    conditions (one shared strut low-XOR, four transversal faces with
-    XOR-closed low indices) filter out octahedra that the dense
-    zero-divisor graphs contain incidentally.  Ordered by the low-index
-    triple of the A, B, C sail.
-
-    Every box-kite's three struts share one low XOR, so triples of
-    non-edges are only formed within a bucket of equal strut XOR.  Each
-    such induced octahedron is met once, as its three non-edges (its only
-    ones) in ascending order, and is then labelled or rejected.
-    """
-    graph = zd_graph(n, s)
-    assessors, signs = graph.assessors, graph.signs
+    s, assessors, signs = graph.s, graph.assessors, graph.signs
+    lows = [a.o for a in assessors]
     adjacency = [0] * len(assessors)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for i, j in combinations(range(len(assessors)), 2):
@@ -148,28 +108,86 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
         else:
-            buckets.setdefault(assessors[i].o ^ assessors[j].o, []).append((i, j))
-    found = []  # (ABC lows, strut index pairs, kite); the pairs order as the non-edges do
-    for bucket in buckets.values():
+            buckets.setdefault(lows[i] ^ lows[j], []).append((i, j))
+    for t, bucket in buckets.items():
         for e1, (u1, v1) in enumerate(bucket):
             common1 = adjacency[u1] & adjacency[v1]
-            for e2 in range(e1 + 1, len(bucket)):
-                u2, v2 = bucket[e2]
+            a = lows[u1]
+            for u2, v2 in bucket[e1 + 1 :]:
                 if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
                     continue
+                c = a ^ lows[u2]
+                c, d = sorted((c, c ^ t))
+                if c == s or d == s:
+                    continue
+                u3, v3 = c - 1 - (c > s), d - 1 - (d > s)  # as ZDGraph._position
+                if (u3, v3) <= (u2, v2) or (u3, v3) in signs:
+                    continue
                 common2 = common1 & adjacency[u2] & adjacency[v2]
-                for u3, v3 in bucket[e2 + 1 :]:
-                    if not ((common2 >> u3) & 1 and (common2 >> v3) & 1):
-                        continue
-                    antipodes = [
-                        (assessors[u1], assessors[v1]),
-                        (assessors[u2], assessors[v2]),
-                        (assessors[u3], assessors[v3]),
-                    ]
-                    kite = _label_kite(n, s, antipodes)
-                    if kite is not None:
-                        abc_lows = tuple(v.o for v in kite.vertices[:3])
-                        found.append((abc_lows, (u1, v1, u2, v2, u3, v3), kite))
+                if (common2 >> u3) & 1 and (common2 >> v3) & 1:
+                    yield u1, v1, u2, v2, u3, v3
+
+
+def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
+    """Canonical letters for the box-kite on these strut positions.
+
+    A, B, C take the sail whose four slot triples are all positively
+    oriented, rotated to start at the smallest low index; ties go to the
+    lexicographically least low triple.  Kites with no zigzag sail exist
+    (trip-sync counterexamples appear at n=6 for s above 24); those fall
+    back to the lexicographically least sail so the sweep can report them
+    instead of crashing.  F, E, D are the antipodes of A, B, C.  The twelve
+    edge signs are read from the graph.
+    """
+    assessors = graph.assessors
+    pairs = (struts[0:2], struts[2:4], struts[4:6])
+    # low index -> (position, strut partner's position)
+    by_low = {}
+    for u, v in pairs:
+        by_low[assessors[u].o], by_low[assessors[v].o] = (u, v), (v, u)
+    first, second = ((assessors[u].o, assessors[v].o) for u, v in pairs[:2])
+    faces = []
+    for x, y in product(first, second):
+        ordered = aso_form((x, y, x ^ y))
+        verts = tuple(assessors[by_low[o][0]] for o in ordered)
+        all_positive = all(trip_orientation(*t) > 0 for t in slot_trips(verts))
+        faces.append((ordered, all_positive))
+    faces.sort()
+    zigzags = [f for f in faces if f[1]]
+    chosen = (zigzags or faces)[0][0]
+    (a, f), (b, e), (c, d) = (by_low[o] for o in chosen)
+    positions = (a, b, c, d, e, f)
+    signs = {}
+    for i, j, pair in _EDGES:
+        p, q = positions[i], positions[j]
+        signs[pair] = graph.signs[min(p, q), max(p, q)]
+    return BoxKite(graph.n, graph.s, tuple(assessors[p] for p in positions), signs)
+
+
+def find_box_kites(n: int, s: int) -> list[BoxKite]:
+    """All box-kites for (n, s): induced octahedra carrying four sails.
+
+    A box-kite is more than an induced octahedron with clean antipodes: it
+    must carry the checkerboard of four sails, transversal faces whose low
+    indices close under XOR.  The dense zero-divisor graphs contain many
+    octahedra without that structure (for s=1 at n=5 the graph is the
+    complete graph minus the strut matching, giving 35 octahedra of which
+    only 7 carry sails; at n=6 there are octahedra whose three strut pairs
+    have unequal low XORs, leaving fewer than four trip faces).
+
+    The three struts share one low XOR t, and a sail through lows x and y
+    of two struts puts x^y on the third.  So struts {a, a^t} and {b, b^t}
+    leave exactly one candidate third strut, {a^b, a^b^t}; when it is a
+    non-edge adjacent to the other four vertices, all four transversals
+    x^y close, which is the checkerboard of four sails.  The search forms
+    only that candidate and so meets box-kites only, each once.  Ordered by
+    the low-index triple of the A, B, C sail, then by strut positions.
+    """
+    graph = zd_graph(n, s)
+    found = []  # (ABC lows, strut positions, kite)
+    for struts in _kite_struts(graph):
+        kite = _label_kite(graph, struts)
+        found.append((tuple(v.o for v in kite.vertices[:3]), struts, kite))
     found.sort(key=lambda f: f[:2])
     return [kite for *_, kite in found]
 
@@ -242,6 +260,11 @@ class CensusReport:
 
 
 def census(n: int) -> CensusReport:
-    """Box-kite count per strut constant, by exhaustive enumeration."""
-    per_s = {s: len(find_box_kites(n, s)) for s in range(1, 1 << (n - 1))}
+    """Box-kite count per strut constant, by exhaustive enumeration.
+
+    Counts the strut triples the search meets; no kite is labelled or built.
+    """
+    per_s = {
+        s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in range(1, 1 << (n - 1))
+    }
     return CensusReport(n, per_s, sum(per_s.values()))

@@ -14,9 +14,10 @@ the cell value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import Hypercomplex, TripIndices, blade_sign, hc_mul, trip_orientation
+from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, hc_mul, trip_orientation
 from .kites import SYNC_SAIL_ORDER, BoxKite, Sail, slot_trips
 
 YARD_SYMBOLS = (
@@ -56,7 +57,7 @@ class LariatResult:
 
     sign: int
     symbol: str | None
-    scale: int
+    scale: Scalar
 
     ZERO = None  # populated below
 
@@ -90,11 +91,14 @@ class _Lines:
             self.lookup.setdefault(tuple(terms), (1, sym))
             self.lookup.setdefault(tuple((i, -c) for i, c in terms), (-1, sym))
 
-    def collapse(self, coeffs: dict[int, int]) -> LariatResult:
+    def collapse(self, coeffs: dict[int, Scalar]) -> LariatResult:
         if not coeffs:
             return LariatResult.ZERO
-        content = gcd(*(abs(c) for c in coeffs.values()))
-        reduced = tuple(sorted((i, c // content) for i, c in coeffs.items()))
+        # positive rational content: gcd of numerators over lcm of denominators
+        num = gcd(*(c.numerator for c in coeffs.values()))
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        content = num if den == 1 else Fraction(num, den)
+        reduced = tuple(sorted((i, int(c * den) // num) for i, c in coeffs.items()))
         try:
             sign, symbol = self.lookup[reduced]
         except KeyError:
@@ -117,6 +121,9 @@ class _Lines:
 
 def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
     """Reduce an exact product to a yard cell: strip positive content, match.
+
+    The content of a rational product is the gcd of its numerators over the
+    lcm of its denominators; it stays an int when every coefficient is one.
 
     Raises ValueError when the product lives in another algebra than the
     box-kite, and NonCollapsibleError when the reduced product is not plus or

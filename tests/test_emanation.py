@@ -1,13 +1,16 @@
 """General 2^n enumeration: graphs, kite search, lifts, census, sweeps."""
 
 import gc
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from boxkites import emanation
 from boxkites.algebra import aso_form, trip_orientation
 from boxkites.emanation import (
+    ZDGraph,
     census,
     emanation_assessors,
     find_box_kites,
@@ -96,6 +99,38 @@ def reference_label(n, s, antipodes):
     for letter, abc_letter in (("F", "A"), ("E", "B"), ("D", "C")):
         vertex_map[letter] = partner[vertex_map[abc_letter]]
     return BoxKite.assemble(n, s, vertex_map)
+
+
+def bucket_scan(graph):
+    """Strut position triples by scanning whole strut-XOR buckets: three
+    disjoint non-edges in bucket order, all twelve cross pairs edges, and the
+    lows of the first two struts XOR-closing onto the third."""
+    lows = [a.o for a in graph.assessors]
+    buckets = {}
+    for i, j in combinations(range(len(lows)), 2):
+        if (i, j) not in graph.signs:
+            buckets.setdefault(lows[i] ^ lows[j], []).append((i, j))
+
+    def adjacent(p, q):
+        return (min(p, q), max(p, q)) in graph.signs
+
+    found = []
+    for bucket in buckets.values():
+        for first, second, third in combinations(bucket, 3):
+            if len(set(first + second + third)) != 6:
+                continue
+            pairs = (first, second, third)
+            if not all(
+                adjacent(p, q)
+                for x, y in combinations(pairs, 2)
+                for p in x
+                for q in y
+            ):
+                continue
+            closure = {lows[first[0]] ^ lows[second[0]], lows[first[0]] ^ lows[second[1]]}
+            if {lows[third[0]], lows[third[1]]} == closure:
+                found.append(first + second + third)
+    return found
 
 
 def is_native(kite):
@@ -258,7 +293,62 @@ class TestFindBoxKites:
         for s in range(1, 1 << (n - 1)):
             assert find_box_kites(n, s) == reference_search(n, s), s
 
-    @pytest.mark.parametrize("n,expected", [(5, 7), (6, 35), (7, 155), (8, 651)])
+    @pytest.mark.parametrize("n,s,seed", [(5, 1, 0), (5, 9, 1), (6, 5, 2), (6, 25, 3)])
+    def test_closure_search_on_doctored_graphs(self, n, s, seed):
+        # the algebra's graphs never trip the search's guards (a third low
+        # equal to s, a third pair that is an edge or misses an adjacency),
+        # so flip one pair in eight and compare with a scan of whole buckets
+        graph = zd_graph(n, s)
+        rng = random.Random(seed)
+        signs = {}
+        for pair in combinations(range(len(graph.assessors)), 2):
+            sign = graph.signs.get(pair)
+            if rng.random() < 1 / 8:
+                sign = None if sign else 1
+            if sign:
+                signs[pair] = sign
+        doctored = ZDGraph(n, s, graph.assessors, signs)
+        assert list(emanation._kite_struts(doctored)) == bucket_scan(doctored)
+
+    @pytest.mark.parametrize("s", [2, 7, 14])
+    def test_closure_search_when_a_third_low_is_s(self, s):
+        # complete graph minus one low-XOR class t: for t = s ^ (s + 1) the
+        # closure of two struts can land on the absent low s, whose position
+        # arithmetic would otherwise alias low s + 1
+        assessors = tuple(emanation_assessors(5, s))
+        for t in range(1, 16):
+            signs = {
+                (i, j): 1
+                for i, j in combinations(range(len(assessors)), 2)
+                if assessors[i].o ^ assessors[j].o != t
+            }
+            graph = ZDGraph(5, s, assessors, signs)
+            assert list(emanation._kite_struts(graph)) == bucket_scan(graph), t
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_graph_signs_agree_with_validating_constructor(self, n):
+        # kites are built from the graph's signs; BoxKite.assemble recomputes
+        # and checks all fifteen pairs from the same letter map
+        for s in range(1, 1 << (n - 1)):
+            for kite in find_box_kites(n, s):
+                rebuilt = BoxKite.assemble(n, s, {p: kite.vertex(p) for p in LETTERS})
+                assert rebuilt.vertices == kite.vertices, (s, kite)
+                assert rebuilt.edge_signs == kite.edge_signs, (s, kite)
+
+    def test_every_searched_candidate_is_a_kite(self, monkeypatch):
+        labelled = []
+        label = emanation._label_kite
+
+        def counting(*args):
+            labelled.append(args)
+            return label(*args)
+
+        monkeypatch.setattr(emanation, "_label_kite", counting)
+        for s in range(1, 32):
+            labelled.clear()
+            assert len(find_box_kites(6, s)) == len(labelled), s
+
+    @pytest.mark.parametrize("n,expected", [(5, 7), (6, 35), (7, 155), (8, 651), (9, 2667)])
     def test_s1_count_law(self, n, expected):
         kites = find_box_kites(n, 1)
         assert len(kites) == ((1 << (n - 2)) - 1) * ((1 << (n - 3)) - 1) // 3 == expected
@@ -299,6 +389,19 @@ class TestCensus:
             assert count == expected, s
         assert report.total == PATHION_CENSUS_CLAIMS["arithmetic_total"]
         assert report.total != PATHION_CENSUS_CLAIMS["stated_total"]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_counting_agrees_with_labelling(self, n):
+        report = census(n)
+        assert report.per_s == {s: len(find_box_kites(n, s)) for s in range(1, 1 << (n - 1))}
+
+    def test_census_builds_no_kite(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("census labelled or assembled a kite")
+
+        monkeypatch.setattr(emanation, "_label_kite", refuse)
+        monkeypatch.setattr(BoxKite, "assemble", classmethod(refuse))
+        assert census(6).total == 1113
 
     def test_census_retains_nothing(self):
         # each (n, s) is computed once and dropped: no graph or kite outlives

@@ -87,6 +87,34 @@ class TestLariatProduct:
         with pytest.raises(NonCollapsibleError):
             collapse(bk1(), Hypercomplex(4, {1: 1, 2: 1}))
 
+    def test_rational_product_collapses(self):
+        result = collapse(bk1(), Hypercomplex(4, {0: Fraction(1, 2)}))
+        assert result == LariatResult(1, "R", Fraction(1, 2))
+        a = bk1().vertex("A")
+        result = collapse(bk1(), Hypercomplex(4, {a.o: Fraction(-2, 3), a.hi: Fraction(2, 3)}))
+        assert result == LariatResult(-1, "a", Fraction(2, 3))
+
+    def test_rational_non_symbol_raises(self):
+        a = bk1().vertex("A")
+        for coeffs in ({a.o: Fraction(1, 2), a.hi: Fraction(1, 3)}, {1: Fraction(1, 2), 2: 1}):
+            with pytest.raises(NonCollapsibleError):
+                collapse(bk1(), Hypercomplex(4, coeffs))
+
+    def test_rational_scale_divides_out(self):
+        # k times an exact product collapses to the same cell, k times the scale;
+        # an integer product keeps an int scale
+        bk = bk1()
+        for p in YARD_SYMBOLS:
+            for q in YARD_SYMBOLS:
+                product = hc_mul(symbol_rep(bk, p), symbol_rep(bk, q))
+                base = collapse(bk, product)
+                assert type(base.scale) is int
+                for k in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)):
+                    scaled = collapse(bk, k * product)
+                    sign = -base.sign if k < 0 else base.sign
+                    assert (scaled.sign, scaled.symbol) == (sign, base.symbol), (p, q, k)
+                    assert scaled.scale == abs(k) * base.scale, (p, q, k)
+
     def test_product_from_another_algebra_refused(self):
         for product in (Hypercomplex(5, {0: 3}), Hypercomplex(3, {0: 1})):
             with pytest.raises(ValueError):
