@@ -93,7 +93,8 @@ class Hypercomplex:
     """Element of a 2^n-ion algebra with exact coefficients, one per index.
 
     Kept canonical: zero coefficients are dropped at construction, so
-    equality is plain field equality.
+    equality is plain field equality.  A coefficient that is not an int or a
+    Fraction is refused with TypeError.
     """
 
     dim_exponent: int
@@ -106,6 +107,11 @@ class Hypercomplex:
             if not (0 <= index < top):
                 raise ValueError(
                     f"index {index} out of range for dimension 2^{self.dim_exponent}"
+                )
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(
+                    f"coefficient of index {index} is {type(coeff).__name__}, "
+                    "not int or Fraction"
                 )
             if coeff != 0:
                 cleaned[index] = coeff
@@ -204,16 +210,11 @@ def rotations(trip) -> tuple[TripIndices, TripIndices, TripIndices]:
 
 @dataclass(frozen=True)
 class Trip:
-    """An index triple with the orientation of the order as written."""
+    """An index triple; ``enumerate_trips`` writes each positively oriented."""
 
     a: int
     b: int
     c: int
-    orientation: int
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int) -> "Trip":
-        return cls(a, b, c, trip_orientation(a, b, c))
 
     @property
     def indices(self) -> TripIndices:
@@ -245,5 +246,5 @@ def enumerate_trips(n: int, kind: str = "all") -> list[Trip]:
                 continue
             if kind == "s" and c < 8:
                 continue
-            trips.append(Trip(*aso_form((a, b, c)), orientation=1))
+            trips.append(Trip(*aso_form((a, b, c))))
     return trips

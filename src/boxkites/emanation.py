@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import TripIndices, aso_form, trip_orientation
+from .algebra import TripIndices, aso_form
 from .kites import (
+    EDGE_LETTER_PAIRS,
     LETTERS,
-    STRUT_LETTER_PAIRS,
     Assessor,
     BoxKite,
     assessors_for_strut,
     edge_sign,
-    slot_trips,
+    slot_orientations,
 )
 from .lariats import TripSyncReport, trip_sync_report
 
@@ -80,12 +80,8 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     return ZDGraph(n, s, assessors, signs)
 
 
-# Letter-index pairs of a box-kite's twelve edges, in ``BoxKite.assemble`` order.
-_EDGES = tuple(
-    (i, j, frozenset((p, q)))
-    for (i, p), (j, q) in combinations(enumerate(LETTERS), 2)
-    if (p, q) not in STRUT_LETTER_PAIRS
-)
+# One frozenset key per edge, shared by the ``edge_signs`` of every kite found.
+_EDGE_KEYS = {pair: frozenset(pair) for pair in EDGE_LETTER_PAIRS}
 
 
 def _kite_struts(graph: ZDGraph):
@@ -150,18 +146,19 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     for x, y in product(first, second):
         ordered = aso_form((x, y, x ^ y))
         verts = tuple(assessors[by_low[o][0]] for o in ordered)
-        all_positive = all(trip_orientation(*t) > 0 for t in slot_trips(verts))
+        all_positive = all(o > 0 for o in slot_orientations(verts))
         faces.append((ordered, all_positive))
     faces.sort()
     zigzags = [f for f in faces if f[1]]
     chosen = (zigzags or faces)[0][0]
     (a, f), (b, e), (c, d) = (by_low[o] for o in chosen)
     positions = (a, b, c, d, e, f)
+    at = dict(zip(LETTERS, positions))
     signs = {}
-    for i, j, pair in _EDGES:
-        p, q = positions[i], positions[j]
-        signs[pair] = graph.signs[min(p, q), max(p, q)]
-    return BoxKite(graph.n, graph.s, tuple(assessors[p] for p in positions), signs)
+    for (p, q), key in _EDGE_KEYS.items():
+        u, v = sorted((at[p], at[q]))
+        signs[key] = graph.signs[u, v]
+    return BoxKite(graph.n, graph.s, tuple(assessors[u] for u in positions), signs)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:

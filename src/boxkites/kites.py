@@ -16,6 +16,7 @@ is a positively oriented triple starting at the smallest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .algebra import (
     Hypercomplex,
@@ -32,9 +33,16 @@ BACKSLASH = -1
 
 LETTERS = ("A", "B", "C", "D", "E", "F")
 STRUT_LETTER_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
-SAIL_LETTERS = (("A", "B", "C"), ("A", "D", "E"), ("F", "D", "B"), ("F", "C", "E"))
-# Order used by the trip-synchronization tabulation.
+# The twelve edges: every letter pair but the struts, in letter order.
+EDGE_LETTER_PAIRS = tuple(
+    pair for pair in combinations(LETTERS, 2) if pair not in STRUT_LETTER_PAIRS
+)
+# The four sails, in the order of ``BoxKite.sails`` and the GoTo tuple.
+SAIL_LETTERS = ("ABC", "ADE", "FDB", "FCE")
+# Order used by the trip-synchronization tabulation and the quizzical blocks.
 SYNC_SAIL_ORDER = ("ABC", "ADE", "FCE", "FDB")
+# Every spelling of a sail: its three letters in any order.
+_SAIL_SPELLINGS = frozenset("".join(p) for name in SAIL_LETTERS for p in permutations(name))
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,11 @@ def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripInd
     return ((l0, l1, l2), (l0, h1, h2), (h0, l1, h2), (h0, h1, l2))
 
 
+def slot_orientations(vertices) -> tuple[int, int, int, int]:
+    """Orientations of the four ``slot_trips`` of three vertices, in slot order."""
+    return tuple(trip_orientation(*t) for t in slot_trips(vertices))
+
+
 @dataclass(frozen=True)
 class Sail:
     """Three mutually zero-dividing vertices of a box-kite, in slot order."""
@@ -163,7 +176,7 @@ class Sail:
         return slot_trips(self.vertices)
 
     def orientations(self) -> tuple[int, ...]:
-        return tuple(trip_orientation(*t) for t in self.trips())
+        return slot_orientations(self.vertices)
 
     @property
     def is_zigzag_by_trips(self) -> bool:
@@ -189,18 +202,14 @@ class BoxKite:
         if sorted(vertex_map) != sorted(LETTERS):
             raise ValueError(f"vertex map must cover letters {LETTERS}")
         signs = {}
-        strut_sets = {frozenset(p) for p in STRUT_LETTER_PAIRS}
-        for i, p in enumerate(LETTERS):
-            for q in LETTERS[i + 1 :]:
-                sign = edge_sign(vertex_map[p], vertex_map[q])
-                pair = frozenset((p, q))
-                if pair in strut_sets:
-                    if sign is not None:
-                        raise ValueError(f"strut {p}-{q} carries a zero divisor")
-                elif sign is None:
-                    raise ValueError(f"edge {p}-{q} carries no zero divisor")
-                else:
-                    signs[pair] = sign
+        for p, q in EDGE_LETTER_PAIRS:
+            sign = edge_sign(vertex_map[p], vertex_map[q])
+            if sign is None:
+                raise ValueError(f"edge {p}-{q} carries no zero divisor")
+            signs[frozenset((p, q))] = sign
+        for p, q in STRUT_LETTER_PAIRS:
+            if edge_sign(vertex_map[p], vertex_map[q]) is not None:
+                raise ValueError(f"strut {p}-{q} carries a zero divisor")
         return cls(n, s, tuple(vertex_map[p] for p in LETTERS), signs)
 
     def vertex(self, letter: str) -> Assessor:
@@ -210,26 +219,20 @@ class BoxKite:
         return self.edge_signs[frozenset((p, q))]
 
     @property
-    def lows(self) -> dict[str, int]:
-        return {p: self.vertex(p).o for p in LETTERS}
-
-    @property
     def struts(self) -> tuple[tuple[Assessor, Assessor], ...]:
         return tuple((self.vertex(p), self.vertex(q)) for p, q in STRUT_LETTER_PAIRS)
 
     def sail(self, name: str) -> Sail:
-        letters = tuple(name)
-        if tuple(sorted(name)) not in {tuple(sorted("".join(s))) for s in SAIL_LETTERS}:
+        """The sail on these three letters, its vertices in the order spelled."""
+        if name not in _SAIL_SPELLINGS:
             raise ValueError(f"{name!r} is not a sail of a box-kite")
-        verts = tuple(self.vertex(p) for p in letters)
-        signs = tuple(
-            self.edge(letters[i], letters[(i + 1) % 3]) for i in range(3)
-        )
-        return Sail(name, verts, signs)
+        p, q, r = name
+        verts = (self.vertex(p), self.vertex(q), self.vertex(r))
+        return Sail(name, verts, (self.edge(p, q), self.edge(q, r), self.edge(r, p)))
 
     @property
     def sails(self) -> tuple[Sail, ...]:
-        return tuple(self.sail("".join(s)) for s in SAIL_LETTERS)
+        return tuple(self.sail(name) for name in SAIL_LETTERS)
 
     def zigzag_sails(self) -> list[Sail]:
         return [s for s in self.sails if s.is_zigzag_by_trips]
@@ -239,19 +242,16 @@ class BoxKite:
         return f"BoxKite(n={self.n}, s={self.s}, {inner})"
 
 
-def build_box_kite(s: int, n: int = 4) -> BoxKite:
+def build_box_kite(s: int) -> BoxKite:
     """Deterministic sedenion box-kite for strut constant s.
 
     Strut pairs are the assessor pairs whose low indices XOR to s.  Within
     the pair {x, y}, the terminal member is the one t with (s, other, t)
     positively oriented; the three terminals always form a triple, which in
     canonical order becomes (A, B, C).  F, E, D take the strut partners of
-    A, B, C.
+    A, B, C.  Higher dimensions have their kites from ``find_box_kites``.
     """
-    if n != 4:
-        raise ValueError("direct construction is for the sedenions; "
-                         "use find_box_kites for higher dimensions")
-    assessors = {a.o: a for a in assessors_for_strut(s, n)}
+    assessors = {a.o: a for a in assessors_for_strut(s)}
     pairs = sorted({tuple(sorted((o, o ^ s))) for o in assessors})
     terminals = []
     for x, y in pairs:
@@ -260,7 +260,28 @@ def build_box_kite(s: int, n: int = 4) -> BoxKite:
     vertex_map = {letter: assessors[o] for letter, o in zip("ABC", abc)}
     for letter, o in zip("FED", abc):
         vertex_map[letter] = assessors[o ^ s]
-    return BoxKite.assemble(n, s, vertex_map)
+    return BoxKite.assemble(4, s, vertex_map)
+
+
+def _zero_product_walk(vertices, signs, start: Diagonal, steps: int) -> list[Diagonal]:
+    """Diagonals met walking a circuit of zero products, start first and last.
+
+    The edge from slot i to slot i + 1 carries ``signs[i]``: the orientation
+    is kept across "+" and flipped across "-".  Every product is verified to
+    vanish, and the walk must be back at the start after ``steps`` steps.
+    """
+    slot = vertices.index(start.assessor)
+    walk = [start]
+    for _ in range(steps):
+        orientation = walk[-1].orientation * signs[slot]
+        slot = (slot + 1) % len(vertices)
+        nxt = vertices[slot].diagonal(orientation)
+        if not is_zero_divisor_pair(walk[-1], nxt):
+            raise AssertionError(f"product {walk[-1]} * {nxt} is not zero")
+        walk.append(nxt)
+    if walk[-1] != start:
+        raise AssertionError(f"zero-product circuit did not close in {steps} steps")
+    return walk
 
 
 def sail_six_cycle(sail: Sail, start: Diagonal) -> list[tuple[Diagonal, Diagonal]]:
@@ -270,23 +291,10 @@ def sail_six_cycle(sail: Sail, start: Diagonal) -> list[tuple[Diagonal, Diagonal
     after two laps the walk is back at the start.  Every product is verified
     to vanish before being returned.
     """
-    verts = sail.vertices
-    if start.assessor not in verts:
+    if start.assessor not in sail.vertices:
         raise ValueError(f"{start} does not lie on sail {sail.name}")
-    slot = verts.index(start.assessor)
-    steps = []
-    current = start
-    for _ in range(6):
-        next_slot = (slot + 1) % 3
-        orientation = current.orientation * sail.edge_signs[slot]
-        nxt = verts[next_slot].diagonal(orientation)
-        if not is_zero_divisor_pair(current, nxt):
-            raise AssertionError(f"sail product {current} * {nxt} is not zero")
-        steps.append((current, nxt))
-        current, slot = nxt, next_slot
-    if current != start:
-        raise AssertionError("sail circuit did not close after six steps")
-    return steps
+    walk = _zero_product_walk(sail.vertices, sail.edge_signs, start, 6)
+    return list(zip(walk, walk[1:]))
 
 
 @dataclass(frozen=True)
@@ -314,22 +322,12 @@ def tray_racks(bk: BoxKite) -> list[TrayRack]:
         signs = tuple(
             bk.edge(letters[i], letters[(i + 1) % 4]) for i in range(4)
         )
-        circuits = []
-        for start_orientation in (SLASH, BACKSLASH):
-            walk = [bk.vertex(letters[0]).diagonal(start_orientation)]
-            for i in range(4):
-                nxt = bk.vertex(letters[(i + 1) % 4]).diagonal(
-                    walk[-1].orientation * signs[i]
-                )
-                if not is_zero_divisor_pair(walk[-1], nxt):
-                    raise AssertionError(
-                        f"tray-rack product {walk[-1]} * {nxt} is not zero"
-                    )
-                walk.append(nxt)
-            if walk[-1] != walk[0]:
-                raise AssertionError("tray-rack circuit did not close in four steps")
-            circuits.append(tuple(walk[:4]))
-        racks.append(TrayRack(letters, signs, tuple(circuits)))
+        verts = tuple(bk.vertex(p) for p in letters)
+        circuits = tuple(
+            tuple(_zero_product_walk(verts, signs, verts[0].diagonal(o), 4)[:4])
+            for o in (SLASH, BACKSLASH)
+        )
+        racks.append(TrayRack(letters, signs, circuits))
     return racks
 
 
@@ -356,6 +354,14 @@ def trigram_code(bk: BoxKite, switched: bool = False) -> dict[str, str]:
     return codes
 
 
+def _octonion_triple(otrip) -> TripIndices:
+    """The indices of a ``Trip`` or index triple lying on the octonion level."""
+    trip = tuple(otrip.indices if hasattr(otrip, "indices") else otrip)
+    if len(set(trip)) != 3 or any(not 0 < i < 8 for i in trip) or trip[0] ^ trip[1] ^ trip[2]:
+        raise ValueError(f"{trip} is not an octonion triple")
+    return trip
+
+
 def automorpheme(otrip) -> frozenset[int]:
     """Seven-axis span of a sail's zero-divisor pattern at the sedenion level.
 
@@ -363,9 +369,7 @@ def automorpheme(otrip) -> frozenset[int]:
     with the triple members.  These loops counterfeit the octonions but fail
     Moufang.
     """
-    trip = tuple(otrip.indices if hasattr(otrip, "indices") else otrip)
-    if len(set(trip)) != 3 or any(not 0 < i < 8 for i in trip) or trip[0] ^ trip[1] ^ trip[2]:
-        raise ValueError(f"{trip} is not an octonion triple")
+    trip = _octonion_triple(otrip)
     excluded = {o ^ 8 for o in trip}
     return frozenset(trip) | (frozenset(range(9, 16)) - excluded)
 
@@ -373,14 +377,8 @@ def automorpheme(otrip) -> frozenset[int]:
 def octonion_loop_axes(otrip) -> frozenset[int]:
     """Axes of the true octonion-loop copy over an octonion triple: the trip,
     index 8, and the XORs of 8 with the trip."""
-    trip = tuple(otrip.indices if hasattr(otrip, "indices") else otrip)
-    if len(set(trip)) != 3 or any(not 0 < i < 8 for i in trip) or trip[0] ^ trip[1] ^ trip[2]:
-        raise ValueError(f"{trip} is not an octonion triple")
+    trip = _octonion_triple(otrip)
     return frozenset(trip) | {8} | {o ^ 8 for o in trip}
-
-
-# Sail order for the GoTo tuple.
-GOTO_SAIL_ORDER = ("ABC", "ADE", "FDB", "FCE")
 
 
 def goto_numbers(bk: BoxKite) -> tuple[int, int, int, int]:
@@ -389,7 +387,7 @@ def goto_numbers(bk: BoxKite) -> tuple[int, int, int, int]:
         raise ValueError("GoTo numbers are defined for sedenion box-kites")
     otrips = [t.index_set() for t in enumerate_trips(4, "o")]
     numbers = []
-    for name in GOTO_SAIL_ORDER:
+    for name in SAIL_LETTERS:
         lows = frozenset(v.o for v in bk.sail(name).vertices)
         numbers.append(otrips.index(lows) + 1)
     return tuple(numbers)

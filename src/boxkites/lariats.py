@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, hc_mul, trip_orientation
-from .kites import SYNC_SAIL_ORDER, BoxKite, Sail, slot_trips
+from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign
+from .kites import SYNC_SAIL_ORDER, BoxKite, Sail
 
 YARD_SYMBOLS = (
     "R", "8", "X", "S",
@@ -109,11 +109,15 @@ class _Lines:
 
     def product(self, *symbols: str) -> LariatResult:
         """Left-to-right product of yard lines, collapsed."""
-        coeffs = dict(self.terms[symbols[0]])
-        for sym in symbols[1:]:
+        try:
+            factors = [self.terms[sym] for sym in symbols]
+        except KeyError as err:
+            raise ValueError(f"unknown yard symbol {err.args[0]!r}") from None
+        coeffs = dict(factors[0])
+        for terms in factors[1:]:
             out: dict[int, int] = {}
             for i, ci in coeffs.items():
-                for j, cj in self.terms[sym]:
+                for j, cj in terms:
                     out[i ^ j] = out.get(i ^ j, 0) + ci * cj * blade_sign(i, j)
             coeffs = {i: c for i, c in out.items() if c}
         return self.collapse(coeffs)
@@ -139,7 +143,7 @@ def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
 
 def lariat_product(p: str, q: str, bk: BoxKite) -> LariatResult:
     """Product of two yard lines, collapsed to zero or a signed symbol."""
-    return collapse(bk, hc_mul(symbol_rep(bk, p), symbol_rep(bk, q)))
+    return _Lines(bk).product(p, q)
 
 
 @dataclass(frozen=True)
@@ -205,12 +209,9 @@ def yard_strut_subtable(yard: LariatTable, strut: str) -> LariatTable:
     return LariatTable(yard.n, yard.s, symbols, cells)
 
 
-# Quizzical block order and case rule: walking a sail cycle, the case stays
-# the same across "-" edges and flips across "+" edges (of the unswitched
-# signs), giving two coherent triples per sail.
-QUIZZICAL_SAIL_ORDER = ("ABC", "ADE", "FCE", "FDB")
-
-
+# Quizzical case rule: walking a sail cycle, the case stays the same across
+# "-" edges and flips across "+" edges (of the unswitched signs), giving two
+# coherent triples per sail.
 def _coherent_triples(sail: Sail) -> tuple[tuple[str, ...], tuple[str, ...]]:
     letters = list(sail.name)
     cases = [True]  # True = upper case (slash)
@@ -251,7 +252,7 @@ def _quizzical(bk: BoxKite, sail: Sail, symbols: tuple[str, ...]) -> QuizzicalLa
 def quizzical_tables(bk: BoxKite) -> list[QuizzicalLariat]:
     """The eight sail lariats of a box-kite, two coherent triples per sail."""
     tables = []
-    for name in QUIZZICAL_SAIL_ORDER:
+    for name in SYNC_SAIL_ORDER:
         sail = bk.sail(name)
         for symbols in _coherent_triples(sail):
             tables.append(_quizzical(bk, sail, symbols))
@@ -263,7 +264,6 @@ class SailSync:
     """Orientation bookkeeping for the four triples attached to one sail."""
 
     name: str
-    lows: TripIndices
     trips: tuple[TripIndices, TripIndices, TripIndices, TripIndices]
     orientations: tuple[int, int, int, int]
     expected: tuple[int, int, int, int]
@@ -303,13 +303,11 @@ def trip_sync_report(bk: BoxKite) -> TripSyncReport:
     sails = []
     for name in SYNC_SAIL_ORDER:
         sail = bk.sail(name)
-        trips = slot_trips(sail.vertices)
-        orientations = tuple(trip_orientation(*t) for t in trips)
         if name == "ABC":
             expected = (1, 1, 1, 1)
         else:
             shared = next(i for i, letter in enumerate(name) if letter in "ABC")
             expected = (1,) + tuple(1 if i == shared else -1 for i in range(3))
-        sails.append(SailSync(name, trips[0], trips, orientations, expected))
-    abc = tuple(v.o for v in bk.sail("ABC").vertices)
-    return TripSyncReport(bk.n, bk.s, abc, tuple(sails))
+        sails.append(SailSync(name, sail.trips(), sail.orientations(), expected))
+    # the first sail is ABC, and its first slot triple is its low indices
+    return TripSyncReport(bk.n, bk.s, sails[0].trips[0], tuple(sails))

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .emanation import CensusReport, SweepReport, census, find_box_kites, trip_sync_sweep, zd_graph
-from .kites import LETTERS, STRUT_LETTER_PAIRS, Assessor, BoxKite, build_box_kite, goto_numbers
+from .kites import (
+    EDGE_LETTER_PAIRS,
+    LETTERS,
+    STRUT_LETTER_PAIRS,
+    Assessor,
+    BoxKite,
+    build_box_kite,
+    goto_numbers,
+)
 from .lariats import (
     LariatTable,
     QuizzicalLariat,
@@ -107,12 +115,10 @@ def _vertex_map(bk: BoxKite) -> dict:
 
 
 def box_kite_payload(bk: BoxKite) -> dict:
-    edges = []
-    for i, p in enumerate(LETTERS):
-        for q in LETTERS[i + 1 :]:
-            sign = bk.edge_signs.get(frozenset((p, q)))
-            if sign is not None:
-                edges.append({"ends": [p, q], "sign": "+" if sign > 0 else "-"})
+    edges = [
+        {"ends": [p, q], "sign": "+" if bk.edge(p, q) > 0 else "-"}
+        for p, q in EDGE_LETTER_PAIRS
+    ]
     return {
         "n": bk.n,
         "s": bk.s,

@@ -102,18 +102,12 @@ class VerificationReport:
 
 
 def _check(
-    check_id: str,
-    section: str,
-    claim: str,
-    expected,
-    computed,
-    fixture: str | None = None,
-    passed: bool | None = None,
+    check_id: str, claim: str, expected, computed, fixture: str | None = None
 ) -> CheckResult:
-    if passed is None:
-        passed = expected == computed
+    """A check in the section its id starts with, passed when the values match."""
+    section = check_id.partition("/")[0]
     return CheckResult(
-        check_id, section, claim, str(expected), str(computed), passed, fixture
+        check_id, section, claim, str(expected), str(computed), expected == computed, fixture
     )
 
 
@@ -123,7 +117,6 @@ def _section_trips() -> Iterator[CheckResult]:
     for trip in fixtures.O_TRIPS:
         yield _check(
             f"trips/o{''.join(map(str, trip))}",
-            "trips",
             f"octonion triple {trip} positively oriented as written",
             1,
             trip_orientation(*trip),
@@ -132,7 +125,6 @@ def _section_trips() -> Iterator[CheckResult]:
     for trip in fixtures.S_TRIPS:
         yield _check(
             f"trips/s{'-'.join(map(str, trip))}",
-            "trips",
             f"sedenion triple {trip} positively oriented as written",
             1,
             trip_orientation(*trip),
@@ -141,7 +133,6 @@ def _section_trips() -> Iterator[CheckResult]:
     computed_o = tuple(t.indices for t in enumerate_trips(4, "o"))
     yield _check(
         "trips/o-enumeration",
-        "trips",
         "enumerated octonion triples equal the canonical seven in order",
         fixtures.O_TRIPS,
         computed_o,
@@ -150,7 +141,6 @@ def _section_trips() -> Iterator[CheckResult]:
     computed_s = {t.indices for t in enumerate_trips(4, "s")}
     yield _check(
         "trips/s-enumeration",
-        "trips",
         "enumerated sedenion triples equal the tabled twenty-eight",
         set(fixtures.S_TRIPS),
         computed_s,
@@ -161,12 +151,12 @@ def _section_trips() -> Iterator[CheckResult]:
 def _section_fabric() -> Iterator[CheckResult]:
     assessors = {a for s in range(1, 8) for a in assessors_for_strut(s)}
     yield _check(
-        "fabric/assessor-count", "fabric", "42 assessors at the sedenion level",
+        "fabric/assessor-count", "42 assessors at the sedenion level",
         42, len(assessors),
     )
     diagonals = {d for a in assessors for d in (a.slash, a.backslash)}
     yield _check(
-        "fabric/diagonal-count", "fabric", "84 zero-divisor diagonals",
+        "fabric/diagonal-count", "84 zero-divisor diagonals",
         84, len(diagonals),
     )
     bk = build_box_kite(1)
@@ -179,7 +169,7 @@ def _section_fabric() -> Iterator[CheckResult]:
         for d1, d2 in cycle
     )
     yield _check(
-        "fabric/six-cycle", "fabric",
+        "fabric/six-cycle",
         "box-kite I ABC circuit reproduces the quoted six-step progression",
         fixtures.SIX_CYCLE_ABC_BK1,
         computed,
@@ -189,7 +179,7 @@ def _section_fabric() -> Iterator[CheckResult]:
         hc_mul(d1.rep, d2.rep).is_zero for d1, d2 in cycle
     )
     yield _check(
-        "fabric/six-cycle-zero", "fabric",
+        "fabric/six-cycle-zero",
         "every product in the six-step progression is exactly zero",
         True, products_zero, fixture="SIX_CYCLE_ABC_BK1",
     )
@@ -200,12 +190,12 @@ def _section_strut_table() -> Iterator[CheckResult]:
         bk = build_box_kite(s)
         computed = {p: bk.vertex(p).indices for p in LETTERS}
         yield _check(
-            f"strut-table/row-{s}-vertices", "strut-table",
+            f"strut-table/row-{s}-vertices",
             f"strut constant {s}: vertex assessors match the table row",
             row["vertices"], computed, fixture="STRUT_TABLE",
         )
         yield _check(
-            f"strut-table/row-{s}-goto", "strut-table",
+            f"strut-table/row-{s}-goto",
             f"strut constant {s}: GoTo tuple matches the table row",
             row["goto"], goto_numbers(bk), fixture="STRUT_TABLE",
         )
@@ -219,7 +209,7 @@ def _section_edge_signs() -> Iterator[CheckResult]:
         computed = {"".join(sorted(pair)): sign for pair, sign in bk.edge_signs.items()}
         rule = dict.fromkeys(computed, 1) | dict.fromkeys(("AB", "AC", "BC", "DE", "DF", "EF"), -1)
         yield _check(
-            f"edge-signs/bk-{s}", "edge-signs",
+            f"edge-signs/bk-{s}",
             f"box-kite {s}: computed signs equal the a-priori rule "
             "(ABC and DEF negative, the rest positive)",
             dict(sorted(rule.items())), dict(sorted(computed.items())),
@@ -230,7 +220,7 @@ def _section_edge_signs() -> Iterator[CheckResult]:
     for s in range(1, 8):
         graph = zd_graph(4, s)
         yield _check(
-            f"edge-signs/graph-{s}", "edge-signs",
+            f"edge-signs/graph-{s}",
             f"strut constant {s}: 12 zero-divisor edges, 3 clean struts",
             (12, 3),
             (len(graph.edges()), len(graph.non_adjacent_pairs())),
@@ -243,7 +233,7 @@ def _section_loops() -> Iterator[CheckResult]:
         loop = loop_closure(axes)
         failures = moufang_report(loop)
         yield _check(
-            f"loops/automorpheme-{''.join(map(str, trip))}", "loops",
+            f"loops/automorpheme-{''.join(map(str, trip))}",
             f"automorpheme over {trip} is a 16-element loop failing Moufang",
             (16, True, True),
             (
@@ -255,14 +245,14 @@ def _section_loops() -> Iterator[CheckResult]:
         )
     for trip, axes in fixtures.AUTOMORPHEMES.items():
         yield _check(
-            f"loops/automorpheme-axes-{''.join(map(str, trip))}", "loops",
+            f"loops/automorpheme-axes-{''.join(map(str, trip))}",
             f"automorpheme axes over {trip} match the quoted seven indices",
             axes, automorpheme(trip), fixture="AUTOMORPHEMES",
         )
     for trip in fixtures.O_TRIPS:
         loop = loop_closure(octonion_loop_axes(trip))
         yield _check(
-            f"loops/octonion-copy-{''.join(map(str, trip))}", "loops",
+            f"loops/octonion-copy-{''.join(map(str, trip))}",
             f"octonion-loop copy over {trip} satisfies Moufang",
             (16, True),
             (len(loop), check_identity(loop, "moufang") is None),
@@ -272,7 +262,7 @@ def _section_loops() -> Iterator[CheckResult]:
         for t in fixtures.O_TRIPS + fixtures.S_TRIPS
     )
     yield _check(
-        "loops/thirty-five-q8", "loops",
+        "loops/thirty-five-q8",
         "all 35 triples generate associative quaternion-group copies",
         True, q8_all,
     )
@@ -287,7 +277,7 @@ def _section_quizzical() -> Iterator[CheckResult]:
             count += 1
             all_hold = all_hold and lariat.relations_hold
     yield _check(
-        "quizzical/relations", "quizzical",
+        "quizzical/relations",
         "all 56 sail lariats satisfy x^2 = y^2 = z^2 = xyz = -R",
         (56, True), (count, all_hold),
     )
@@ -295,7 +285,7 @@ def _section_quizzical() -> Iterator[CheckResult]:
     for name, triples in fixtures.QUIZZICAL_TRIPLES.items():
         computed = tuple(t.symbols for t in quizzical_tables(bk1) if t.sail_name == name)
         yield _check(
-            f"quizzical/triples-{name}", "quizzical",
+            f"quizzical/triples-{name}",
             f"sail {name} coherent triples match the quoted blocks",
             triples, computed, fixture="QUIZZICAL_TRIPLES",
         )
@@ -310,7 +300,7 @@ def _section_quizzical() -> Iterator[CheckResult]:
                 rhs = (2 * k * k * result.sign) * symbol_rep(bk, result.symbol)
                 scale_ok = scale_ok and lhs == rhs
     yield _check(
-        "quizzical/scale-law", "quizzical",
+        "quizzical/scale-law",
         "(kP)(kQ) = 2 k^2 times the product line, at k = 1 and k = 1/2",
         True, scale_ok,
     )
@@ -324,13 +314,13 @@ def _section_mock() -> Iterator[CheckResult]:
             if is_octonion_isomorphic(mock_octonion_table(bk, strut)):
                 iso_count += 1
     yield _check(
-        "mock/isomorphism", "mock",
+        "mock/isomorphism",
         "all 21 strut tables are octonion tables under symbol k -> e_k",
         21, iso_count,
     )
     table = mock_octonion_table(build_box_kite(1), "AF")
     yield _check(
-        "mock/bk1-af", "mock",
+        "mock/bk1-af",
         "box-kite I A-F table matches the printed table cell for cell",
         fixtures.MOCK_OCTONION_AF, table.cell_strings(), fixture="MOCK_OCTONION_AF",
     )
@@ -347,22 +337,22 @@ def _section_yard() -> Iterator[CheckResult]:
     closure_ok = len(yards) == len(kites)
     cells1 = yards[0].cell_strings() if yards else None
     yield _check(
-        "yard/bk1", "yard",
+        "yard/bk1",
         "box-kite I switching yard matches the printed table symbol for symbol",
         fixtures.SWITCHING_YARD, cells1, fixture="SWITCHING_YARD",
     )
     yield _check(
-        "yard/zero-count", "yard", "exactly 48 annihilating cells",
+        "yard/zero-count", "exactly 48 annihilating cells",
         48, yards[0].zero_count() if yards else None,
     )
     identical = closure_ok and all(yard.cell_strings() == cells1 for yard in yards[1:])
     yield _check(
-        "yard/isomorphic", "yard",
+        "yard/isomorphic",
         "all 7 yards coincide after letter substitution",
         True, identical,
     )
     yield _check(
-        "yard/closure", "yard",
+        "yard/closure",
         "lariat closure: no non-collapsible product over 7 x 256 cells",
         True, closure_ok,
     )
@@ -372,7 +362,7 @@ def _section_yard() -> Iterator[CheckResult]:
         for strut in ("AF", "BE", "CD")
     )
     yield _check(
-        "yard/strut-subtables", "yard",
+        "yard/strut-subtables",
         "each yard's three strut slices equal the mock-octonion tables",
         True, subtables_ok,
     )
@@ -382,12 +372,12 @@ def _section_yard() -> Iterator[CheckResult]:
         for bk in kites
     )
     yield _check(
-        "yard/trigram-codes", "yard",
+        "yard/trigram-codes",
         "trigram codes match in both switch states for all 7 box-kites",
         True, codes_ok, fixture="TRIGRAM_UNSWITCHED",
     )
     yield _check(
-        "yard/trigram-switched", "yard",
+        "yard/trigram-switched",
         "switched trigram codes are the bit complements",
         fixtures.TRIGRAM_SWITCHED,
         {k: "".join("1" if b == "0" else "0" for b in v)
@@ -399,7 +389,7 @@ def _section_yard() -> Iterator[CheckResult]:
         for rack, (letters, signs) in zip(tray_racks(bk), fixtures.TRAY_RACKS):
             racks_ok = racks_ok and rack.letters == letters and rack.edge_signs == signs
     yield _check(
-        "yard/tray-racks", "yard",
+        "yard/tray-racks",
         "tray-rack squares carry the alternating sign patterns",
         True, racks_ok, fixture="TRAY_RACKS",
     )
@@ -410,12 +400,12 @@ def _section_sync_table() -> Iterator[CheckResult]:
         report = trip_sync_report(build_box_kite(s))
         computed = {sail.name: sail.trips for sail in report.sails}
         yield _check(
-            f"sync-table/row-{s}-trips", "sync-table",
+            f"sync-table/row-{s}-trips",
             f"box-kite {s}: sail triples match the synchronization table",
             row, computed, fixture="SYNC_TABLE",
         )
         yield _check(
-            f"sync-table/row-{s}-pattern", "sync-table",
+            f"sync-table/row-{s}-pattern",
             f"box-kite {s}: zigzag all-positive, trefoils sharing exactly "
             "the ABC octonion",
             True, report.passed,
@@ -425,7 +415,7 @@ def _section_sync_table() -> Iterator[CheckResult]:
 def _section_pathion() -> Iterator[CheckResult]:
     computed = [a.indices for a in emanation_assessors(5, 1)]
     yield _check(
-        "pathion/s1-assessors", "pathion",
+        "pathion/s1-assessors",
         "pathion assessors for s=1 match the quoted fourteen pairs",
         sorted(fixtures.PATHION_S1_ASSESSORS), sorted(computed),
         fixture="PATHION_S1_ASSESSORS",
@@ -433,7 +423,7 @@ def _section_pathion() -> Iterator[CheckResult]:
     kites = find_box_kites(5, 1)
     rows = tuple(tuple(k.vertex(p).o for p in LETTERS) for k in kites)
     yield _check(
-        "pathion/s1-rows", "pathion",
+        "pathion/s1-rows",
         "the seven pathion kites for s=1 match the quoted rows in order",
         fixtures.PATHION_S1_ROWS, rows, fixture="PATHION_S1_ROWS",
     )
@@ -442,7 +432,7 @@ def _section_pathion() -> Iterator[CheckResult]:
         {p: k.vertex(p).indices for p in LETTERS} for k in kites9
     )
     yield _check(
-        "pathion/s9-kites", "pathion",
+        "pathion/s9-kites",
         "the three pathion kites for s=9 match the quoted trio",
         fixtures.PATHION_S9_KITES, computed9, fixture="PATHION_S9_KITES",
     )
@@ -451,14 +441,14 @@ def _section_pathion() -> Iterator[CheckResult]:
         for k in kites9
     )
     yield _check(
-        "pathion/s9-shared-strut", "pathion",
+        "pathion/s9-shared-strut",
         "all three s=9 kites share the strut {(8,17), (1,24)}",
         True, shared, fixture="PATHION_S9_KITES",
     )
     kites8 = find_box_kites(5, 8)
     abc8 = sorted(frozenset(k.vertex(p).o for p in "ABC") for k in kites8)
     yield _check(
-        "pathion/s8-otrips", "pathion",
+        "pathion/s8-otrips",
         "the seven s=8 kites carry each octonion triple as ABC exactly once",
         sorted(frozenset(t) for t in fixtures.O_TRIPS), abc8,
     )
@@ -468,7 +458,7 @@ def _section_pathion() -> Iterator[CheckResult]:
         found = {frozenset(k.vertices) for k in find_box_kites(5, s)}
         lifts_ok = lifts_ok and frozenset(lifted.vertices) in found
     yield _check(
-        "pathion/lift", "pathion",
+        "pathion/lift",
         "every lifted sedenion kite appears among the pathion kites",
         True, lifts_ok,
     )
@@ -482,18 +472,18 @@ def _section_census() -> Iterator[CheckResult]:
         for s in range(1, 16)
     }
     yield _check(
-        "census/n5-per-s", "census",
+        "census/n5-per-s",
         "pathion census: 7 kites per s <= 8 and 3 per s >= 9",
         expected, report.per_s, fixture="PATHION_CENSUS_CLAIMS",
     )
     yield _check(
-        "census/n5-total", "census",
+        "census/n5-total",
         f"enumerated total {report.total} vs stated 84 vs arithmetic 77; "
         "the stated figure does not survive enumeration",
         claims["arithmetic_total"], report.total, fixture="PATHION_CENSUS_CLAIMS",
     )
     yield _check(
-        "census/n4-total", "census",
+        "census/n4-total",
         "sedenion census: one kite per strut constant, seven total",
         {s: 1 for s in range(1, 8)}, census(4).per_s,
     )
@@ -502,20 +492,20 @@ def _section_census() -> Iterator[CheckResult]:
 def _section_tripsync() -> Iterator[CheckResult]:
     sweep4 = trip_sync_sweep(4)
     yield _check(
-        "tripsync/n4", "tripsync",
+        "tripsync/n4",
         "trip synchronization holds on all 7 sedenion kites",
         (7, True), (sweep4.kite_count, sweep4.all_passed),
     )
     sweep5 = trip_sync_sweep(5)
     yield _check(
-        "tripsync/n5", "tripsync",
+        "tripsync/n5",
         "trip synchronization holds on all 77 pathion kites",
         (77, True), (sweep5.kite_count, sweep5.all_passed),
     )
     sample = list(range(1, 9)) + [17]
     sweep6 = trip_sync_sweep(6, sample)
     yield _check(
-        "tripsync/n6-sample", "tripsync",
+        "tripsync/n6-sample",
         "trip synchronization holds at n=6 for s in 1..8 and 17",
         (8 * 35 + 7, True), (sweep6.kite_count, sweep6.all_passed),
     )
@@ -556,7 +546,7 @@ def run_verification(sections=None) -> VerificationReport:
         consumed = {r.fixture for r in report.results if r.fixture}
         report.results.append(
             _check(
-                "coverage/fixtures", "coverage",
+                "coverage/fixtures",
                 "every registered fixture is consumed by some check",
                 sorted(fixtures.REGISTRY), sorted(consumed),
             )

@@ -1,5 +1,7 @@
 """Basis products, exact multivectors, triples, and their laws."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,16 @@ class TestHypercomplex:
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             Hypercomplex(3, {9: 1})
+
+    def test_float_coefficients_refused(self):
+        with pytest.raises(TypeError, match="index 0 is float"):
+            Hypercomplex(4, {0: 0.5, 3: 0.1})
+        with pytest.raises(TypeError, match="index 3 is float"):
+            Hypercomplex(4, {0: 1, 3: 0.0})
+        with pytest.raises(TypeError, match="index 5 is complex"):
+            Hypercomplex.unit(4, 5, 1j)
+        x = Hypercomplex(4, {0: Fraction(1, 2), 3: 2})
+        assert hc_mul(x, x) == Hypercomplex(4, {0: Fraction(-15, 4), 3: 2})
 
     def test_zero_divisor_product(self):
         x = Hypercomplex(4, {3: 1, 10: 1})

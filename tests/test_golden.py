@@ -102,6 +102,11 @@ GOLDEN = {
     RenderSpec("census", n=6): {
         "json": "e539f11be2f5f247c51ae216e01884467dcd599e856e38823bd9513b72600e5e",
     },
+    # the whole n = 6 sweep: 31 strut constants and 1,113 kites, with the failing
+    # non-native kites at s >= 25, whose counterexamples follow slot order
+    RenderSpec("tripsync", n=6): {
+        "json": "d96a1834273c11429c21c563c51d8f300ea65f95955503ee65b8c72ea4b7f62c",
+    },
     # the dear n = 7 tier: 847 kites, mostly non-native
     RenderSpec("tripsync", n=7, s_values=(47,)): {
         "json": "25e5a959a442182a0a6019a8cf4cf1358d28d3aaa7c2fc174eb736e211a229c4",

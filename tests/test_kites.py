@@ -2,7 +2,7 @@
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,9 +17,13 @@ from boxkites.fixtures import (
 )
 from boxkites.algebra import hc_mul
 from boxkites.kites import (
+    EDGE_LETTER_PAIRS,
     LETTERS,
+    SAIL_LETTERS,
+    STRUT_LETTER_PAIRS,
     Assessor,
     BoxKite,
+    Sail,
     assessors_for_strut,
     automorpheme,
     build_box_kite,
@@ -182,8 +186,44 @@ class TestStrutTable:
         with pytest.raises(ValueError):
             BoxKite.assemble(4, 1, letters)
 
+    def test_assemble_names_the_faulty_pair(self):
+        bk = bk1()
+        letters = dict(zip(LETTERS, bk.vertices))
+        letters["B"], letters["F"] = letters["F"], letters["B"]  # A-B is now a strut
+        with pytest.raises(ValueError, match="edge A-B carries no zero divisor"):
+            BoxKite.assemble(4, 1, letters)
+        # n = 5, s = 1: lows with no two XORing to 1 are pairwise adjacent,
+        # so every strut of this octahedron carries a zero divisor
+        clique = {p: Assessor(5, o, o ^ 17) for p, o in zip(LETTERS, (2, 4, 6, 8, 10, 12))}
+        with pytest.raises(ValueError, match="strut A-F carries a zero divisor"):
+            BoxKite.assemble(5, 1, clique)
+
+    def test_edge_letter_pairs(self):
+        assert len(EDGE_LETTER_PAIRS) == len(set(EDGE_LETTER_PAIRS)) == 12
+        assert set(EDGE_LETTER_PAIRS) | set(STRUT_LETTER_PAIRS) == set(combinations(LETTERS, 2))
+        assert not set(EDGE_LETTER_PAIRS) & set(STRUT_LETTER_PAIRS)
+        for s in range(1, 8):
+            bk = build_box_kite(s)
+            assert list(bk.edge_signs) == [frozenset(pair) for pair in EDGE_LETTER_PAIRS]
+
 
 class TestSails:
+    def test_sail_accepts_every_spelling(self):
+        for s in range(1, 8):
+            bk = build_box_kite(s)
+            for name in SAIL_LETTERS:
+                for spelling in map("".join, permutations(name)):
+                    sail = bk.sail(spelling)
+                    p, q, r = spelling
+                    assert sail.name == spelling
+                    assert sail.vertices == (bk.vertex(p), bk.vertex(q), bk.vertex(r))
+                    assert sail.edge_signs == (bk.edge(p, q), bk.edge(q, r), bk.edge(r, p))
+
+    @pytest.mark.parametrize("name", ["ABD", "AEC", "FBC", "FED", "AB", "ABCD", "AAB", "", "abc"])
+    def test_sail_refuses_vents_and_malformed_names(self, name):
+        with pytest.raises(ValueError):
+            bk1().sail(name)
+
     def test_abc_is_zigzag(self):
         sails = {s.name: s for s in bk1().sails}
         assert sails["ABC"].kind == "zigzag"
@@ -229,6 +269,17 @@ class TestSails:
                     orientations[i] != orientations[i + 1] for i in range(5)
                 )
                 assert alternates == (sail.kind == "zigzag"), (s, sail.name)
+
+    def test_walks_refuse_a_wrong_edge_sign(self):
+        bk = bk1()
+        abc = bk.sail("ABC")
+        wrong = Sail("ABC", abc.vertices, (1,) + abc.edge_signs[1:])
+        with pytest.raises(AssertionError, match="is not zero"):
+            sail_six_cycle(wrong, abc.vertices[0].slash)
+        signs = dict(bk.edge_signs)
+        signs[frozenset("BC")] = -signs[frozenset("BC")]
+        with pytest.raises(AssertionError, match="is not zero"):
+            tray_racks(BoxKite(bk.n, bk.s, bk.vertices, signs))
 
 
 class TestTrayRacks:

@@ -124,6 +124,12 @@ class TestLariatProduct:
         with pytest.raises(ValueError):
             lariat_product("G", "R", bk1())
 
+    def test_float_product_refused(self):
+        # a float coefficient is refused where the product is built, so
+        # collapse never meets one
+        with pytest.raises(TypeError, match="index 0 is float"):
+            collapse(bk1(), Hypercomplex(4, {0: 0.5}))
+
 
 class TestMockOctonion:
     def test_bk1_af_matches_printed_table(self):
@@ -301,6 +307,11 @@ ORACLE_KITES = [(f"n4-s{s}", build_box_kite(s)) for s in range(1, 8)] + [
     ("label", "bk"), ORACLE_KITES, ids=[label for label, _ in ORACLE_KITES]
 )
 class TestIntegerKernelAgainstOracle:
+    def test_lariat_product(self, label, bk):
+        for p in YARD_SYMBOLS:
+            for q in YARD_SYMBOLS:
+                assert lariat_product(p, q, bk) == oracle_cell(bk, p, q), (p, q)
+
     def test_switching_yard(self, label, bk):
         yard = switching_yard(bk)
         expected = tuple(
