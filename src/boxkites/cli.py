@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("target", choices=TARGETS)
     emit.add_argument("--dim", type=int, default=None,
                       help="algebra dimension (a power of two, default 16; 32 for pathion)")
-    emit.add_argument("--strut", type=int, default=1, help="strut constant s")
+    emit.add_argument("--strut", type=int, default=1, help="strut constant s (default 1)")
     emit.add_argument("--strut-pair", choices=("AF", "BE", "CD"), default="AF",
                       help="strut pair for mock tables")
     emit.add_argument("--s-range", default=None,

@@ -22,6 +22,7 @@ from .kites import (
     assessors_for_strut,
     edge_sign,
     slot_orientations,
+    slot_trips,
 )
 from .lariats import TripSyncReport, trip_sync_report
 
@@ -146,7 +147,7 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     for x, y in product(first, second):
         ordered = aso_form((x, y, x ^ y))
         verts = tuple(assessors[by_low[o][0]] for o in ordered)
-        all_positive = all(o > 0 for o in slot_orientations(verts))
+        all_positive = all(o > 0 for o in slot_orientations(slot_trips(verts)))
         faces.append((ordered, all_positive))
     faces.sort()
     zigzags = [f for f in faces if f[1]]
@@ -203,9 +204,8 @@ def pathion_lift(bk: BoxKite) -> BoxKite:
     return BoxKite.assemble(5, bk.s, vertex_map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepEntry:
-    n: int
     s: int
     abc_lows: TripIndices
     passed: bool
@@ -244,7 +244,7 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
                 trip for sail in report.sails for trip in sail.counterexamples()
             )
             entries.append(
-                SweepEntry(n, s, report.abc_lows, report.passed, counterexamples)
+                SweepEntry(s, report.abc_lows, report.passed, counterexamples)
             )
     return SweepReport(n, s_values, tuple(entries))
 

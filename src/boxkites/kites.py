@@ -155,9 +155,9 @@ def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripInd
     return ((l0, l1, l2), (l0, h1, h2), (h0, l1, h2), (h0, h1, l2))
 
 
-def slot_orientations(vertices) -> tuple[int, int, int, int]:
+def slot_orientations(trips) -> tuple[int, int, int, int]:
     """Orientations of the four ``slot_trips`` of three vertices, in slot order."""
-    return tuple(trip_orientation(*t) for t in slot_trips(vertices))
+    return tuple(trip_orientation(*t) for t in trips)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class Sail:
         return slot_trips(self.vertices)
 
     def orientations(self) -> tuple[int, ...]:
-        return slot_orientations(self.vertices)
+        return slot_orientations(self.trips())
 
     @property
     def is_zigzag_by_trips(self) -> bool:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign
-from .kites import SYNC_SAIL_ORDER, BoxKite, Sail
+from .kites import LETTERS, SYNC_SAIL_ORDER, BoxKite, Sail, slot_orientations, slot_trips
 
 YARD_SYMBOLS = (
     "R", "8", "X", "S",
@@ -238,25 +239,24 @@ class QuizzicalLariat:
     relations_hold: bool
 
 
-def _quizzical(bk: BoxKite, sail: Sail, symbols: tuple[str, ...]) -> QuizzicalLariat:
-    lines = _Lines(bk)
+def _quizzical(bk: BoxKite, lines: _Lines, name: str, symbols: tuple[str, ...]) -> QuizzicalLariat:
     cells = tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
     holds = all(
         cells[i][i] == LariatResult(-1, "R", 2) for i in range(3)
     )
     triple = lines.product(*symbols)
     holds = holds and triple.sign == -1 and triple.symbol == "R"
-    return QuizzicalLariat(bk.n, bk.s, sail.name, symbols, cells, holds)
+    return QuizzicalLariat(bk.n, bk.s, name, symbols, cells, holds)
 
 
 def quizzical_tables(bk: BoxKite) -> list[QuizzicalLariat]:
     """The eight sail lariats of a box-kite, two coherent triples per sail."""
-    tables = []
-    for name in SYNC_SAIL_ORDER:
-        sail = bk.sail(name)
-        for symbols in _coherent_triples(sail):
-            tables.append(_quizzical(bk, sail, symbols))
-    return tables
+    lines = _Lines(bk)
+    return [
+        _quizzical(bk, lines, name, symbols)
+        for name in SYNC_SAIL_ORDER
+        for symbols in _coherent_triples(bk.sail(name))
+    ]
 
 
 @dataclass(frozen=True)
@@ -299,15 +299,19 @@ class TripSyncReport:
         return all(sail.passed for sail in self.sails)
 
 
+# Each sync-order sail, a getter for its vertices, and the orientations its
+# slot triples must show: a mixed triple is positive iff it keeps a low of A, B or C.
+_SYNC_SAILS = [
+    (name, itemgetter(*map(LETTERS.index, name)),
+     (1,) + tuple(1 if letter in "ABC" else -1 for letter in name))
+    for name in SYNC_SAIL_ORDER
+]
+
+
 def trip_sync_report(bk: BoxKite) -> TripSyncReport:
     sails = []
-    for name in SYNC_SAIL_ORDER:
-        sail = bk.sail(name)
-        if name == "ABC":
-            expected = (1, 1, 1, 1)
-        else:
-            shared = next(i for i, letter in enumerate(name) if letter in "ABC")
-            expected = (1,) + tuple(1 if i == shared else -1 for i in range(3))
-        sails.append(SailSync(name, sail.trips(), sail.orientations(), expected))
+    for name, vertices, expected in _SYNC_SAILS:
+        trips = slot_trips(vertices(bk.vertices))
+        sails.append(SailSync(name, trips, slot_orientations(trips), expected))
     # the first sail is ABC, and its first slot triple is its low indices
     return TripSyncReport(bk.n, bk.s, sails[0].trips[0], tuple(sails))

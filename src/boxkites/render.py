@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import comb
 from typing import Callable
 
 from .emanation import CensusReport, SweepReport, census, find_box_kites, trip_sync_sweep, zd_graph
@@ -41,14 +42,24 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 
 FORMATS = ("markdown", "csv", "json", "dot")
 
-# Largest n whose every strut constant is enumerated on request: the n = 8
-# census takes minutes, and each level above costs far more.
+# Largest n whose every strut constant is searched on request (the n = 8
+# census takes about 5 s).  Its 127 x 7,875 = 1,000,125 assessor pairs
+# bound the search of every request.
 MAX_WHOLE_LEVEL_N = 8
+MAX_PAIRS = (2 ** (MAX_WHOLE_LEVEL_N - 1) - 1) * comb(2 ** (MAX_WHOLE_LEVEL_N - 1) - 2, 2)
+# The command-line flag that sets each request field.
+_FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
+          "s_values": "--s-range", "failures_only": "--failures-only"}
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """A fully resolved emission request, checked against its target."""
+    """A fully resolved emission request, checked against its target.
+
+    A field the target does not read must keep its default; every strut
+    constant named must exist at dimension 2^n; and the search must not
+    exceed the assessor pairs of the largest level searched whole.
+    """
 
     target: str
     format: str = "markdown"
@@ -67,22 +78,27 @@ class RenderSpec:
         if self.format == "dot" and not target.dot:
             graphs = " or ".join(name for name, t in REGISTRY.items() if t.dot)
             raise ValueError(f"dot output renders zero-divisor graphs; use the {graphs} targets")
-        if target.sedenion_only and self.n != 4:
-            raise ValueError(f"target {self.target!r} is defined at dimension 16")
+        reads = target.params
         half = 1 << (self.n - 1)
-        if target.needs_strut and not 0 < self.s < half:
-            raise ValueError(f"--strut must lie strictly between 0 and {half}")
-        if self.n > MAX_WHOLE_LEVEL_N and target.whole_level(self):
+        s_values = self.s_values if "s_values" in reads else ()
+        searched = 1 if "s" in reads else len(s_values) or half - 1
+        if "n" in reads and searched * comb(half - 2, 2) > MAX_PAIRS:
             raise ValueError(
-                f"target {self.target!r} would search all {half - 1} strut constants "
-                f"of dimension {1 << self.n}; the largest dimension searched whole is "
-                f"{1 << MAX_WHOLE_LEVEL_N} (tripsync can take --s-range instead)"
+                f"target {self.target!r} would search {searched} strut constant(s) x "
+                f"{comb(half - 2, 2):,} assessor pairs at dimension {2 * half}; the largest "
+                f"dimension searched whole is {1 << MAX_WHOLE_LEVEL_N}, {MAX_PAIRS:,} pairs in all"
             )
-        if (self.s_values or self.failures_only) and not target.sweep:
-            sweeps = " or ".join(name for name, t in REGISTRY.items() if t.sweep)
+        for field in fields(self):
+            name = field.name
+            if name in _FLAGS and name not in reads and getattr(self, name) != field.default:
+                readers = [key for key, t in REGISTRY.items() if name in t.params]
+                raise ValueError(
+                    f"target {self.target!r} reads no {_FLAGS[name]} values; only the "
+                    f"{' or '.join(readers)} target{'s take' if len(readers) > 1 else ' takes'} them"
+                )
+        if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):
             raise ValueError(
-                f"--s-range and --failures-only select sweep rows; only the {sweeps} "
-                f"target takes them, not {self.target!r}"
+                f"strut constants at dimension {2 * half} lie strictly between 0 and {half}"
             )
 
 
@@ -318,14 +334,10 @@ class Target:
 
     payload: Callable[[RenderSpec], dict]
     blocks: Callable[[dict], list]
+    # the request fields, besides target and format, that the payload reads
+    params: tuple[str, ...] = ()
     default_dim: int = 16
-    sedenion_only: bool = False
-    needs_strut: bool = False
     dot: bool = False
-    # whether a request may pick its strut constants and hide passing rows
-    sweep: bool = False
-    # whether a request enumerates every strut constant of its level
-    whole_level: Callable[[RenderSpec], bool] = lambda spec: False
 
 
 REGISTRY: dict[str, Target] = {
@@ -335,7 +347,6 @@ REGISTRY: dict[str, Target] = {
             ["Box-Kite", "GoTo", *LETTERS],
             [[ROMAN[r["s"]], _joined(r["goto"])] + _vertex_cells(r["vertices"]) for r in p["rows"]],
         )],
-        sedenion_only=True,
     ),
     "box-kite": Target(
         lambda spec: box_kite_payload(_kite(spec)),
@@ -343,24 +354,21 @@ REGISTRY: dict[str, Target] = {
             (["vertex", "o", "hi"], [[v, *p["vertices"][v]] for v in LETTERS]),
             (["end1", "end2", "sign"], [[*e["ends"], e["sign"]] for e in p["edges"]]),
         ],
-        needs_strut=True, dot=True,
+        ("n", "s"), dot=True,
     ),
     "yard": Target(
         lambda spec: table_payload(switching_yard(build_box_kite(spec.s))),
-        lambda p: [_lariat_table(p)],
-        sedenion_only=True, needs_strut=True,
+        lambda p: [_lariat_table(p)], ("s",),
     ),
     "mock": Target(
         lambda spec: table_payload(
             mock_octonion_table(build_box_kite(spec.s), spec.strut), strut=spec.strut
         ),
-        lambda p: [_lariat_table(p)],
-        sedenion_only=True, needs_strut=True,
+        lambda p: [_lariat_table(p)], ("s", "strut"),
     ),
     "quizzical": Target(
         lambda spec: quizzical_payload(quizzical_tables(build_box_kite(spec.s))),
-        _quizzical_blocks,
-        sedenion_only=True, needs_strut=True,
+        _quizzical_blocks, ("s",),
     ),
     "sync-table": Target(
         lambda spec: sync_table_payload(),
@@ -368,7 +376,6 @@ REGISTRY: dict[str, Target] = {
             ["BK"] + [sail["name"] for sail in p["rows"][0]["sails"]],
             [[ROMAN[r["s"]]] + [_sync_cell(sail) for sail in r["sails"]] for r in p["rows"]],
         )],
-        sedenion_only=True,
     ),
     "pathion": Target(
         lambda spec: pathion_payload(spec.n, spec.s),
@@ -376,17 +383,14 @@ REGISTRY: dict[str, Target] = {
             ["Kite", *LETTERS],
             [[i + 1] + _vertex_cells(kite["vertices"]) for i, kite in enumerate(p["kites"])],
         )],
-        default_dim=32, needs_strut=True, dot=True,
+        ("n", "s"), default_dim=32, dot=True,
     ),
-    "census": Target(
-        lambda spec: census_payload(census(spec.n)), _census_blocks, whole_level=lambda spec: True
-    ),
+    "census": Target(lambda spec: census_payload(census(spec.n)), _census_blocks, ("n",)),
     "tripsync": Target(
         lambda spec: sweep_payload(
             trip_sync_sweep(spec.n, spec.s_values or None), spec.failures_only
         ),
-        _sweep_blocks,
-        sweep=True, whole_level=lambda spec: not spec.s_values,
+        _sweep_blocks, ("n", "s_values", "failures_only"),
     ),
 }
 

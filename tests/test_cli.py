@@ -11,11 +11,15 @@ from pathlib import Path
 import pytest
 
 import boxkites
+from boxkites import emanation, render
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
 from boxkites.lariats import switching_yard
 from boxkites.render import TARGETS, RenderSpec, box_kite_payload, cmd_emit, parse_box_kite
 from boxkites.verify import SECTIONS, run_verification
+
+
+SEDENION_TARGETS = ("strut-table", "yard", "mock", "quizzical", "sync-table")
 
 
 def emit(capsys, *argv):
@@ -136,6 +140,81 @@ class TestEmit:
         code, out = emit(capsys, "tripsync", "--dim", "512", "--s-range", "129")
         assert code == 0
         assert out.endswith("overall: pass over 63 kites\n")
+
+    @pytest.mark.parametrize("argv", [
+        *[[target, "--dim", "32"] for target in SEDENION_TARGETS],
+        *[[target, "--strut", "3"] for target in ("strut-table", "sync-table", "census", "tripsync")],
+        *[[target, "--strut-pair", "BE"] for target in TARGETS if target != "mock"],
+    ])
+    def test_unread_flag_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["emit", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"reads no {argv[1]} values" in captured.err
+
+    @pytest.mark.parametrize("strut", ["0", "-1"])
+    @pytest.mark.parametrize("target", ["box-kite", "yard", "mock", "quizzical", "pathion"])
+    def test_strut_below_range_refused(self, target, strut, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["emit", target, "--strut", strut])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["box-kite", "--dim", "8192"],
+        ["pathion", "--dim", "4096", "--format", "dot"],
+        ["tripsync", "--dim", "1024", "--s-range", "1-511"],
+        ["tripsync", "--dim", "128", "--s-range", "1-63,64"],
+        ["tripsync", "--dim", "32", "--strut", "9"],
+        ["census", "--dim", "32", "--strut", "5"],
+        ["yard", "--strut-pair", "BE"],
+    ])
+    def test_refused_before_any_search(self, argv, capsys, monkeypatch):
+        def no_search(n, s):
+            raise AssertionError(f"zd_graph({n}, {s}) called")
+
+        monkeypatch.setattr(emanation, "zd_graph", no_search)
+        monkeypatch.setattr(render, "zd_graph", no_search)
+        with pytest.raises(AssertionError):
+            main(["emit", "pathion", "--strut", "9"])
+        with pytest.raises(SystemExit) as err:
+            main(["emit", *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestRenderSpec:
+    def test_largest_accepted_searches(self):
+        RenderSpec("pathion", n=11, s=1)
+        RenderSpec("tripsync", n=8)
+
+    @pytest.mark.parametrize("spec", [
+        {"target": "box-kite", "n": 12},
+        {"target": "pathion", "n": 12, "format": "dot"},
+        {"target": "census", "n": 9},
+        {"target": "tripsync", "n": 9},
+        {"target": "tripsync", "n": 9, "s_values": tuple(range(1, 33))},
+    ])
+    def test_search_past_the_bound_refused(self, spec):
+        with pytest.raises(ValueError, match="largest dimension searched whole is 256"):
+            RenderSpec(**spec)
+
+    def test_defaults(self):
+        assert RenderSpec("box-kite").s == 1
+        assert RenderSpec("mock", s=2).strut == "AF"
+        assert RenderSpec("census").s == 1
+
+    @pytest.mark.parametrize("spec", [
+        {"target": "census", "s": 3},
+        {"target": "box-kite", "strut": "CD"},
+        {"target": "yard", "n": 5},
+        {"target": "pathion", "n": 5, "failures_only": True},
+    ])
+    def test_unread_field_refused(self, spec):
+        with pytest.raises(ValueError, match="reads no"):
+            RenderSpec(**spec)
 
 
 class TestDeterminism:
