@@ -10,7 +10,6 @@ enumeration and sweeps (emanation), golden fixtures and their verification
 from .algebra import (
     BasisBlade,
     Hypercomplex,
-    Trip,
     aso_form,
     blade_mul,
     blade_sign,
@@ -23,7 +22,6 @@ from .emanation import (
     SweepReport,
     ZDGraph,
     census,
-    emanation_assessors,
     find_box_kites,
     pathion_lift,
     trip_sync_sweep,
@@ -86,7 +84,6 @@ __all__ = [
     "Sail",
     "SweepReport",
     "TrayRack",
-    "Trip",
     "TripSyncReport",
     "UnitLoop",
     "VerificationReport",
@@ -100,7 +97,6 @@ __all__ = [
     "census",
     "check_identity",
     "cmd_emit",
-    "emanation_assessors",
     "enumerate_trips",
     "find_box_kites",
     "goto_numbers",

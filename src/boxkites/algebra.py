@@ -208,23 +208,7 @@ def rotations(trip) -> tuple[TripIndices, TripIndices, TripIndices]:
     return ((a, b, c), (b, c, a), (c, a, b))
 
 
-@dataclass(frozen=True)
-class Trip:
-    """An index triple; ``enumerate_trips`` writes each positively oriented."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def indices(self) -> TripIndices:
-        return (self.a, self.b, self.c)
-
-    def index_set(self) -> frozenset[int]:
-        return frozenset(self.indices)
-
-
-def enumerate_trips(n: int, kind: str = "all") -> list[Trip]:
+def enumerate_trips(n: int, kind: str = "all") -> list[TripIndices]:
     """All unit triples of the 2^n-ions, once each, in canonical (ASO) form.
 
     kind "o" keeps triples lying inside the octonion range (all indices < 8),
@@ -246,5 +230,5 @@ def enumerate_trips(n: int, kind: str = "all") -> list[Trip]:
                 continue
             if kind == "s" and c < 8:
                 continue
-            trips.append(Trip(*aso_form((a, b, c))))
+            trips.append(aso_form((a, b, c)))
     return trips

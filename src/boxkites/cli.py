@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .render import FORMATS, REGISTRY, TARGETS, RenderSpec, cmd_emit, json_text
+from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, cmd_emit, json_text
 from .verify import SECTIONS, run_verification
 
 
@@ -20,13 +20,18 @@ def _dim_exponent(parser: argparse.ArgumentParser, dim: int) -> int:
     return n
 
 
-def _parse_s_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
+def _parse_s_range(parser: argparse.ArgumentParser, text: str, n: int) -> tuple[int, ...]:
+    """The strut constants ``text`` names, each piece cut to its first
+    2^(min(n, MAX_WHOLE_LEVEL_N) - 1) values.  ``RenderSpec`` refuses what the
+    cut keeps of a longer piece: a value out of range up to that level, and
+    too many values to search above it."""
+    cut = 1 << (min(n, MAX_WHOLE_LEVEL_N) - 1)
     values: set[int] = set()
     try:
         for piece in text.split(","):
             if "-" in piece:
-                lo, hi = piece.split("-")
-                values.update(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, piece.split("-"))
+                values.update(range(lo, min(hi + 1, lo + cut)))
             else:
                 values.add(int(piece))
     except ValueError:
@@ -81,7 +86,7 @@ def main(argv=None) -> int:
     if args.command == "emit":
         default_dim = REGISTRY[args.target].default_dim
         n = _dim_exponent(parser, args.dim if args.dim is not None else default_dim)
-        s_values = _parse_s_range(parser, args.s_range) if args.s_range is not None else ()
+        s_values = _parse_s_range(parser, args.s_range, n) if args.s_range is not None else ()
         try:
             spec = RenderSpec(
                 target=args.target,

@@ -27,13 +27,6 @@ from .kites import (
 from .lariats import TripSyncReport, trip_sync_report
 
 
-def emanation_assessors(n: int, s: int) -> list[Assessor]:
-    """All assessors for (n, s), ascending by low index."""
-    if n < 4:
-        raise ValueError("emanation structure starts at the sedenions (n >= 4)")
-    return assessors_for_strut(s, n)
-
-
 @dataclass(frozen=True)
 class ZDGraph:
     """Zero-divisor adjacency over the assessors of (n, s), with edge signs.
@@ -72,7 +65,7 @@ class ZDGraph:
 
 def zd_graph(n: int, s: int) -> ZDGraph:
     """Every pairwise edge sign, from the closed form in ``edge_sign``."""
-    assessors = tuple(emanation_assessors(n, s))
+    assessors = tuple(assessors_for_strut(s, n))
     signs = {}
     for i, j in combinations(range(len(assessors)), 2):
         sign = edge_sign(assessors[i], assessors[j])
@@ -253,7 +246,10 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
 class CensusReport:
     n: int
     per_s: dict
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_s.values())
 
 
 def census(n: int) -> CensusReport:
@@ -264,4 +260,4 @@ def census(n: int) -> CensusReport:
     per_s = {
         s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in range(1, 1 << (n - 1))
     }
-    return CensusReport(n, per_s, sum(per_s.values()))
+    return CensusReport(n, per_s)

@@ -7,10 +7,16 @@ divisors.  Six assessors sharing a strut constant assemble into an
 octahedron (a box-kite) whose twelve edges carry mutual zero divisors and
 whose three antipodal pairs (struts) carry none.
 
-Vertex letters follow the fixed convention: triangle A, B, C is the sail
-whose three edges are all "-", F, E, D sit at the opposite ends of the
-struts from A, B, C respectively, and (a, b, c), the low indices of A, B, C,
-is a positively oriented triple starting at the smallest index.
+Vertex letters: F, E, D sit at the opposite ends of the struts from A, B,
+C respectively, and (a, b, c), the low indices of A, B, C, is a positively
+oriented triple starting at the smallest index.  Two rules pick the sail
+A, B, C.  ``build_box_kite`` (n = 4) takes the strut terminals.  The search
+(``emanation.find_box_kites``, any n) takes a zigzag sail, one whose four
+slot triples are all positively oriented, or, on a kite with none (168 of
+1,113 at n = 6), the lexicographically least sail; at n = 4 it names each
+kite as ``build_box_kite`` does.  So the A, B, C sail's three edges are all
+"-" exactly when the kite has a zigzag sail: on every sedenion kite, and on
+945 of the 1,113 at n = 6.
 """
 
 from __future__ import annotations
@@ -109,6 +115,8 @@ class Diagonal:
 
 def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
     """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
+    if n < 4:
+        raise ValueError("emanation structure starts at the sedenions (n >= 4)")
     half = 1 << (n - 1)
     if not (0 < s < half):
         raise ValueError(f"strut constant {s} out of range for n={n}")
@@ -355,8 +363,8 @@ def trigram_code(bk: BoxKite, switched: bool = False) -> dict[str, str]:
 
 
 def _octonion_triple(otrip) -> TripIndices:
-    """The indices of a ``Trip`` or index triple lying on the octonion level."""
-    trip = tuple(otrip.indices if hasattr(otrip, "indices") else otrip)
+    """An index triple lying on the octonion level, as a tuple."""
+    trip = tuple(otrip)
     if len(set(trip)) != 3 or any(not 0 < i < 8 for i in trip) or trip[0] ^ trip[1] ^ trip[2]:
         raise ValueError(f"{trip} is not an octonion triple")
     return trip
@@ -385,7 +393,7 @@ def goto_numbers(bk: BoxKite) -> tuple[int, int, int, int]:
     """1-based positions of each sail's octonion triple in the canonical list."""
     if bk.n != 4:
         raise ValueError("GoTo numbers are defined for sedenion box-kites")
-    otrips = [t.index_set() for t in enumerate_trips(4, "o")]
+    otrips = [frozenset(t) for t in enumerate_trips(4, "o")]
     numbers = []
     for name in SAIL_LETTERS:
         lows = frozenset(v.o for v in bk.sail(name).vertices)

@@ -166,15 +166,14 @@ class LariatTable:
         return sum(cell.is_zero for row in self.cells for cell in row)
 
 
-def _table(bk: BoxKite, symbols: tuple[str, ...]) -> LariatTable:
-    lines = _Lines(bk)
-    cells = tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
-    return LariatTable(bk.n, bk.s, symbols, cells)
+def _cells(lines: _Lines, symbols: tuple[str, ...]) -> tuple[tuple[LariatResult, ...], ...]:
+    """Every row-times-column product over ``symbols``, the cells of a line table."""
+    return tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
 
 
 def switching_yard(bk: BoxKite) -> LariatTable:
     """The full 16 x 16 line table pairing a box-kite with its 8-ball."""
-    return _table(bk, YARD_SYMBOLS)
+    return LariatTable(bk.n, bk.s, YARD_SYMBOLS, _cells(_Lines(bk), YARD_SYMBOLS))
 
 
 def mock_octonion_table(bk: BoxKite, strut: str = "AF") -> LariatTable:
@@ -185,7 +184,8 @@ def mock_octonion_table(bk: BoxKite, strut: str = "AF") -> LariatTable:
     """
     if strut not in STRUT_SYMBOLS:
         raise ValueError(f"strut must be one of {sorted(STRUT_SYMBOLS)}")
-    return _table(bk, ("R", "8", "X", "S") + STRUT_SYMBOLS[strut])
+    symbols = ("R", "8", "X", "S") + STRUT_SYMBOLS[strut]
+    return LariatTable(bk.n, bk.s, symbols, _cells(_Lines(bk), symbols))
 
 
 def is_octonion_isomorphic(table: LariatTable) -> bool:
@@ -228,35 +228,25 @@ def _coherent_triples(sail: Sail) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class QuizzicalLariat:
+class QuizzicalLariat(LariatTable):
     """One quaternion-shaped sail lariat: x^2 = y^2 = z^2 = xyz = -R."""
 
-    n: int
-    s: int
     sail_name: str
-    symbols: tuple[str, str, str]
-    cells: tuple[tuple[LariatResult, ...], ...]
     relations_hold: bool
-
-
-def _quizzical(bk: BoxKite, lines: _Lines, name: str, symbols: tuple[str, ...]) -> QuizzicalLariat:
-    cells = tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
-    holds = all(
-        cells[i][i] == LariatResult(-1, "R", 2) for i in range(3)
-    )
-    triple = lines.product(*symbols)
-    holds = holds and triple.sign == -1 and triple.symbol == "R"
-    return QuizzicalLariat(bk.n, bk.s, name, symbols, cells, holds)
 
 
 def quizzical_tables(bk: BoxKite) -> list[QuizzicalLariat]:
     """The eight sail lariats of a box-kite, two coherent triples per sail."""
     lines = _Lines(bk)
-    return [
-        _quizzical(bk, lines, name, symbols)
-        for name in SYNC_SAIL_ORDER
-        for symbols in _coherent_triples(bk.sail(name))
-    ]
+    lariats = []
+    for name in SYNC_SAIL_ORDER:
+        for symbols in _coherent_triples(bk.sail(name)):
+            cells = _cells(lines, symbols)
+            triple = lines.product(*symbols)
+            holds = all(cells[i][i] == LariatResult(-1, "R", 2) for i in range(3))
+            holds = holds and triple.sign == -1 and triple.symbol == "R"
+            lariats.append(QuizzicalLariat(bk.n, bk.s, symbols, cells, name, holds))
+    return lariats
 
 
 @dataclass(frozen=True)
@@ -291,8 +281,12 @@ class TripSyncReport:
 
     n: int
     s: int
-    abc_lows: TripIndices
     sails: tuple[SailSync, ...]
+
+    @property
+    def abc_lows(self) -> TripIndices:
+        """The ABC sail comes first, and its first slot triple is its low indices."""
+        return self.sails[0].trips[0]
 
     @property
     def passed(self) -> bool:
@@ -313,5 +307,4 @@ def trip_sync_report(bk: BoxKite) -> TripSyncReport:
     for name, vertices, expected in _SYNC_SAILS:
         trips = slot_trips(vertices(bk.vertices))
         sails.append(SailSync(name, trips, slot_orientations(trips), expected))
-    # the first sail is ABC, and its first slot triple is its low indices
-    return TripSyncReport(bk.n, bk.s, sails[0].trips[0], tuple(sails))
+    return TripSyncReport(bk.n, bk.s, tuple(sails))

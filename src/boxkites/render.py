@@ -56,9 +56,9 @@ _FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
 class RenderSpec:
     """A fully resolved emission request, checked against its target.
 
-    A field the target does not read must keep its default; every strut
-    constant named must exist at dimension 2^n; and the search must not
-    exceed the assessor pairs of the largest level searched whole.
+    Every strut constant named must exist at dimension 2^n; the search
+    must not exceed the assessor pairs of the largest level searched whole;
+    and a field the target does not read must keep its default.
     """
 
     target: str
@@ -81,6 +81,10 @@ class RenderSpec:
         reads = target.params
         half = 1 << (self.n - 1)
         s_values = self.s_values if "s_values" in reads else ()
+        if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):
+            raise ValueError(
+                f"strut constants at dimension {2 * half} lie strictly between 0 and {half}"
+            )
         searched = 1 if "s" in reads else len(s_values) or half - 1
         if "n" in reads and searched * comb(half - 2, 2) > MAX_PAIRS:
             raise ValueError(
@@ -96,10 +100,6 @@ class RenderSpec:
                     f"target {self.target!r} reads no {_FLAGS[name]} values; only the "
                     f"{' or '.join(readers)} target{'s take' if len(readers) > 1 else ' takes'} them"
                 )
-        if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):
-            raise ValueError(
-                f"strut constants at dimension {2 * half} lie strictly between 0 and {half}"
-            )
 
 
 def markdown_table(headers, rows) -> str:
@@ -173,7 +173,7 @@ def quizzical_payload(tables: list[QuizzicalLariat]) -> dict:
             {
                 "sail": t.sail_name,
                 "symbols": list(t.symbols),
-                "cells": [[str(c) for c in row] for row in t.cells],
+                "cells": [list(row) for row in t.cell_strings()],
                 "relations_hold": t.relations_hold,
             }
             for t in tables
@@ -263,8 +263,6 @@ def dot_zd_graph(n: int, s: int) -> str:
 
 
 def _kite(spec: RenderSpec) -> BoxKite:
-    if spec.n == 4:
-        return build_box_kite(spec.s)
     kites = find_box_kites(spec.n, spec.s)
     if not kites:
         raise ValueError(f"no box-kite found for n={spec.n}, s={spec.s}")

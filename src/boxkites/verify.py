@@ -16,7 +16,6 @@ from . import fixtures
 from .algebra import enumerate_trips, hc_mul, trip_orientation
 from .emanation import (
     census,
-    emanation_assessors,
     find_box_kites,
     pathion_lift,
     trip_sync_sweep,
@@ -36,7 +35,6 @@ from .kites import (
 from .lariats import (
     NonCollapsibleError,
     is_octonion_isomorphic,
-    lariat_product,
     mock_octonion_table,
     quizzical_tables,
     switching_yard,
@@ -50,12 +48,16 @@ from .loops import check_identity, is_quaternion_group, loop_closure, moufang_re
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
-    section: str
     claim: str
     expected: str
     computed: str
     passed: bool
     fixture: str | None = None
+
+    @property
+    def section(self) -> str:
+        """The section the check's id starts with."""
+        return self.check_id.partition("/")[0]
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -104,10 +106,9 @@ class VerificationReport:
 def _check(
     check_id: str, claim: str, expected, computed, fixture: str | None = None
 ) -> CheckResult:
-    """A check in the section its id starts with, passed when the values match."""
-    section = check_id.partition("/")[0]
+    """A check of ``computed`` against ``expected``, passed when they are equal."""
     return CheckResult(
-        check_id, section, claim, str(expected), str(computed), expected == computed, fixture
+        check_id, claim, str(expected), str(computed), expected == computed, fixture
     )
 
 
@@ -130,7 +131,7 @@ def _section_trips() -> Iterator[CheckResult]:
             trip_orientation(*trip),
             fixture="S_TRIPS",
         )
-    computed_o = tuple(t.indices for t in enumerate_trips(4, "o"))
+    computed_o = tuple(enumerate_trips(4, "o"))
     yield _check(
         "trips/o-enumeration",
         "enumerated octonion triples equal the canonical seven in order",
@@ -138,7 +139,7 @@ def _section_trips() -> Iterator[CheckResult]:
         computed_o,
         fixture="O_TRIPS",
     )
-    computed_s = {t.indices for t in enumerate_trips(4, "s")}
+    computed_s = set(enumerate_trips(4, "s"))
     yield _check(
         "trips/s-enumeration",
         "enumerated sedenion triples equal the tabled twenty-eight",
@@ -269,32 +270,26 @@ def _section_loops() -> Iterator[CheckResult]:
 
 
 def _section_quizzical() -> Iterator[CheckResult]:
-    count = 0
-    all_hold = True
-    for s in range(1, 8):
-        bk = build_box_kite(s)
-        for lariat in quizzical_tables(bk):
-            count += 1
-            all_hold = all_hold and lariat.relations_hold
+    kites = {s: build_box_kite(s) for s in range(1, 8)}
+    lariats = {s: quizzical_tables(bk) for s, bk in kites.items()}
+    every = [lariat for tables in lariats.values() for lariat in tables]
     yield _check(
         "quizzical/relations",
         "all 56 sail lariats satisfy x^2 = y^2 = z^2 = xyz = -R",
-        (56, True), (count, all_hold),
+        (56, True), (len(every), all(lariat.relations_hold for lariat in every)),
     )
-    bk1 = build_box_kite(1)
     for name, triples in fixtures.QUIZZICAL_TRIPLES.items():
-        computed = tuple(t.symbols for t in quizzical_tables(bk1) if t.sail_name == name)
+        computed = tuple(t.symbols for t in lariats[1] if t.sail_name == name)
         yield _check(
             f"quizzical/triples-{name}",
             f"sail {name} coherent triples match the quoted blocks",
             triples, computed, fixture="QUIZZICAL_TRIPLES",
         )
     scale_ok = True
-    for s in range(1, 8):
-        bk = build_box_kite(s)
-        for lariat in quizzical_tables(bk):
+    for s, bk in kites.items():
+        for lariat in lariats[s]:
             p, q = lariat.symbols[0], lariat.symbols[1]
-            result = lariat_product(p, q, bk)
+            result = lariat.cells[0][1]
             for k in (1, Fraction(1, 2)):
                 lhs = hc_mul(k * symbol_rep(bk, p), k * symbol_rep(bk, q))
                 rhs = (2 * k * k * result.sign) * symbol_rep(bk, result.symbol)
@@ -307,22 +302,21 @@ def _section_quizzical() -> Iterator[CheckResult]:
 
 
 def _section_mock() -> Iterator[CheckResult]:
-    iso_count = 0
-    for s in range(1, 8):
-        bk = build_box_kite(s)
-        for strut in ("AF", "BE", "CD"):
-            if is_octonion_isomorphic(mock_octonion_table(bk, strut)):
-                iso_count += 1
+    kites = {s: build_box_kite(s) for s in range(1, 8)}
+    tables = {
+        (s, strut): mock_octonion_table(bk, strut)
+        for s, bk in kites.items()
+        for strut in ("AF", "BE", "CD")
+    }
     yield _check(
         "mock/isomorphism",
         "all 21 strut tables are octonion tables under symbol k -> e_k",
-        21, iso_count,
+        21, sum(map(is_octonion_isomorphic, tables.values())),
     )
-    table = mock_octonion_table(build_box_kite(1), "AF")
     yield _check(
         "mock/bk1-af",
         "box-kite I A-F table matches the printed table cell for cell",
-        fixtures.MOCK_OCTONION_AF, table.cell_strings(), fixture="MOCK_OCTONION_AF",
+        fixtures.MOCK_OCTONION_AF, tables[1, "AF"].cell_strings(), fixture="MOCK_OCTONION_AF",
     )
 
 
@@ -413,21 +407,21 @@ def _section_sync_table() -> Iterator[CheckResult]:
 
 
 def _section_pathion() -> Iterator[CheckResult]:
-    computed = [a.indices for a in emanation_assessors(5, 1)]
+    computed = [a.indices for a in assessors_for_strut(1, 5)]
     yield _check(
         "pathion/s1-assessors",
         "pathion assessors for s=1 match the quoted fourteen pairs",
         sorted(fixtures.PATHION_S1_ASSESSORS), sorted(computed),
         fixture="PATHION_S1_ASSESSORS",
     )
-    kites = find_box_kites(5, 1)
-    rows = tuple(tuple(k.vertex(p).o for p in LETTERS) for k in kites)
+    searched = {s: find_box_kites(5, s) for s in range(1, 10)}
+    rows = tuple(tuple(k.vertex(p).o for p in LETTERS) for k in searched[1])
     yield _check(
         "pathion/s1-rows",
         "the seven pathion kites for s=1 match the quoted rows in order",
         fixtures.PATHION_S1_ROWS, rows, fixture="PATHION_S1_ROWS",
     )
-    kites9 = find_box_kites(5, 9)
+    kites9 = searched[9]
     computed9 = tuple(
         {p: k.vertex(p).indices for p in LETTERS} for k in kites9
     )
@@ -445,8 +439,7 @@ def _section_pathion() -> Iterator[CheckResult]:
         "all three s=9 kites share the strut {(8,17), (1,24)}",
         True, shared, fixture="PATHION_S9_KITES",
     )
-    kites8 = find_box_kites(5, 8)
-    abc8 = sorted(frozenset(k.vertex(p).o for p in "ABC") for k in kites8)
+    abc8 = sorted(frozenset(k.vertex(p).o for p in "ABC") for k in searched[8])
     yield _check(
         "pathion/s8-otrips",
         "the seven s=8 kites carry each octonion triple as ABC exactly once",
@@ -455,7 +448,7 @@ def _section_pathion() -> Iterator[CheckResult]:
     lifts_ok = True
     for s in range(1, 8):
         lifted = pathion_lift(build_box_kite(s))
-        found = {frozenset(k.vertices) for k in find_box_kites(5, s)}
+        found = {frozenset(k.vertices) for k in searched[s]}
         lifts_ok = lifts_ok and frozenset(lifted.vertices) in found
     yield _check(
         "pathion/lift",

@@ -159,13 +159,13 @@ class TestTrips:
     def test_enumerate_octonion_trips(self):
         trips = enumerate_trips(4, "o")
         assert len(trips) == 7
-        assert trips[0].indices == (1, 2, 3)
-        assert tuple(t.indices for t in trips) == O_TRIPS
+        assert trips[0] == (1, 2, 3)
+        assert tuple(trips) == O_TRIPS
 
     def test_enumerate_sedenion_trips(self):
         trips = enumerate_trips(4, "s")
         assert len(trips) == 28
-        indices = {t.indices for t in trips}
+        indices = set(trips)
         assert (7, 8, 15) in indices
         assert indices == set(S_TRIPS)
 
@@ -174,7 +174,7 @@ class TestTrips:
 
     def test_every_enumerated_trip_is_positive(self):
         for t in enumerate_trips(5, "all"):
-            assert trip_orientation(*t.indices) == 1
+            assert trip_orientation(*t) == 1
 
     def test_enumeration_count_n5(self):
         # (2^5 - 1) choose 2 over 3

@@ -15,7 +15,14 @@ from boxkites import emanation, render
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
 from boxkites.lariats import switching_yard
-from boxkites.render import TARGETS, RenderSpec, box_kite_payload, cmd_emit, parse_box_kite
+from boxkites.render import (
+    TARGETS,
+    RenderSpec,
+    box_kite_payload,
+    cmd_emit,
+    json_text,
+    parse_box_kite,
+)
 from boxkites.verify import SECTIONS, run_verification
 
 
@@ -183,6 +190,39 @@ class TestEmit:
             main(["emit", *argv])
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("dim,message", [
+        ("128", "strut constants at dimension 128 lie strictly between 0 and 64"),
+        (str(1 << 40), "largest dimension searched whole is 256"),
+    ])
+    def test_huge_s_range_refused_without_expanding_it(self, dim, message):
+        # a piece is cut to at most 128 values before RenderSpec sees it;
+        # whole, these two million values took 173 MB just to be refused.  A
+        # small parent reads the CLI's peak RSS, so the fork that starts the
+        # CLI does not count the pages of this test process.
+        probe = (
+            "import json, resource, subprocess, sys\n"
+            "run = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([run.returncode, run.stdout, run.stderr, peak]))\n"
+        )
+        src = str(Path(boxkites.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["emit", "tripsync", "--dim", dim, "--s-range", "1-2000000"]
+        probed = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "boxkites.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, out, err, peak_kb = json.loads(probed.stdout)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert peak_kb < 64 * 1024  # ru_maxrss is in kilobytes on Linux
+
+    def test_sedenion_box_kite_is_the_constructed_one(self):
+        for s in range(1, 8):
+            spec = RenderSpec("box-kite", "json", s=s)
+            assert cmd_emit(spec) == json_text(box_kite_payload(build_box_kite(s)))
 
 
 class TestRenderSpec:

@@ -12,7 +12,6 @@ from boxkites.algebra import aso_form, trip_orientation
 from boxkites.emanation import (
     ZDGraph,
     census,
-    emanation_assessors,
     find_box_kites,
     pathion_lift,
     trip_sync_sweep,
@@ -139,32 +138,32 @@ def is_native(kite):
 
 class TestAssessorEnumeration:
     def test_pathion_s1_list(self):
-        got = [a.indices for a in emanation_assessors(5, 1)]
+        got = [a.indices for a in assessors_for_strut(1, 5)]
         assert sorted(got) == sorted(PATHION_S1_ASSESSORS)
         assert got == sorted(got)  # ascending low index
         assert len(got) == 14
 
     def test_sedenion_context_matches_kite_assessors(self):
-        assert emanation_assessors(4, 1) == assessors_for_strut(1)
+        assert assessors_for_strut(1, 4) == assessors_for_strut(1)
 
     def test_s9_contains_quoted_pairs(self):
-        got = {a.indices for a in emanation_assessors(5, 9)}
+        got = {a.indices for a in assessors_for_strut(9, 5)}
         assert {(8, 17), (1, 24)} <= got
 
     def test_count_law(self):
         for n in (4, 5, 6):
             for s in (1, (1 << (n - 1)) - 1):
-                assert len(emanation_assessors(n, s)) == (1 << (n - 1)) - 2
+                assert len(assessors_for_strut(s, n)) == (1 << (n - 1)) - 2
 
     def test_inner_xor_law(self):
-        for a in emanation_assessors(5, 9):
+        for a in assessors_for_strut(9, 5):
             assert a.o ^ a.hi == 25
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            emanation_assessors(3, 1)
+            assessors_for_strut(1, 3)
         with pytest.raises(ValueError):
-            emanation_assessors(5, 16)
+            assessors_for_strut(16, 5)
 
 
 class TestZDGraph:
@@ -251,6 +250,17 @@ class TestFindBoxKites:
                 )
                 assert minus_counts == [1, 1, 1, 3]
 
+    def test_abc_all_minus_iff_zigzag_sail_at_n6(self):
+        # the labelling convention of the kites module docstring: A, B, C
+        # is a zigzag sail when there is one, else the least sail
+        counts = {True: 0, False: 0}
+        for s in range(1, 32):
+            for kite in find_box_kites(6, s):
+                all_minus = all(x < 0 for x in kite.sail("ABC").edge_signs)
+                assert all_minus == bool(kite.zigzag_sails()), (s, kite)
+                counts[all_minus] += 1
+        assert counts == {True: 945, False: 168}
+
     @pytest.mark.parametrize(
         "n,s,raw_expected,kite_expected",
         [(4, 1, 1, 1), (4, 5, 1, 1), (5, 1, 35, 7), (5, 9, 3, 3)],
@@ -315,7 +325,7 @@ class TestFindBoxKites:
         # complete graph minus one low-XOR class t: for t = s ^ (s + 1) the
         # closure of two struts can land on the absent low s, whose position
         # arithmetic would otherwise alias low s + 1
-        assessors = tuple(emanation_assessors(5, s))
+        assessors = tuple(assessors_for_strut(s, 5))
         for t in range(1, 16):
             signs = {
                 (i, j): 1
