@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 Scalar = int | Fraction
 
 TripIndices = tuple[int, int, int]
+
+# Rows of one level's sign table; see ``sign_table``.
+SignTable = tuple[bytes, ...]
 
 
 @cache
@@ -52,6 +55,34 @@ def blade_sign(a: int, b: int) -> int:
     if b == h:  # high * high against e_h itself: -conj(t)*q with t real
         return -1
     return blade_sign(b - h, a - h)  # high * high, conj(t) flips t
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+@lru_cache(maxsize=1)
+def sign_table(n: int) -> SignTable:
+    """The signs of level n as rows: byte b of row a is 1 iff e_a * e_b < 0.
+
+    It holds all 4^n products a, b < 2^n, so only code whose own work at
+    level n is of that order reads it, and only the last level asked for is
+    kept.  The rows follow ``blade_sign``'s recursion a whole row at a time.
+    With H = 2^(k-1) and T the table of level k - 1, and 0 < b < H:
+    e_a * e_(H+b) and e_(H+a) * e_(H+b) carry the sign of e_b * e_a, and
+    e_(H+a) * e_b the opposite of e_a * e_b; e_(H+a) * e_0 is positive and
+    e_(H+a) * e_H negative.  So row a of level k is row a of T followed by
+    column a of T, and row H + a is row a of T negated followed by column a
+    of T, with those two bytes fixed.  The rows of level k are prefixes of
+    those of level k + 1.  ``blade_sign`` is the reference.
+    """
+    rows = [b"\x00"]  # e_0 * e_0 = +e_0
+    for _ in range(n):
+        columns = [bytes(column) for column in zip(*rows)]
+        rows = [row + column for row, column in zip(rows, columns)] + [
+            b"\x00" + row[1:].translate(_FLIP) + b"\x01" + column[1:]
+            for row, column in zip(rows, columns)
+        ]
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -188,11 +219,21 @@ def hc_mul(x: Hypercomplex, y: Hypercomplex) -> Hypercomplex:
     return Hypercomplex(x.dim_exponent, out)
 
 
-def trip_orientation(a: int, b: int, c: int) -> int:
-    """+1 iff e_a * e_b = +e_c, for a genuine triple (a xor b = c)."""
+def _require_unit_triple(a: int, b: int, c: int) -> None:
     if len({a, b, c}) != 3 or 0 in (a, b, c) or a ^ b != c:
         raise ValueError(f"({a}, {b}, {c}) is not a unit triple")
+
+
+def trip_orientation(a: int, b: int, c: int) -> int:
+    """+1 iff e_a * e_b = +e_c, for a genuine triple (a xor b = c)."""
+    _require_unit_triple(a, b, c)
     return blade_sign(a, b)
+
+
+def table_orientation(table: SignTable, a: int, b: int, c: int) -> int:
+    """``trip_orientation`` read from a ``sign_table`` that covers a, b, c."""
+    _require_unit_triple(a, b, c)
+    return -1 if table[a][b] else 1
 
 
 def aso_form(indices) -> TripIndices:

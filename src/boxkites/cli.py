@@ -71,12 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(parser: argparse.ArgumentParser, text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def main(argv=None) -> int:
@@ -100,7 +103,7 @@ def main(argv=None) -> int:
             text = cmd_emit(spec)
         except ValueError as exc:
             parser.error(str(exc))
-        _write(text, args.out)
+        _write(parser, text, args.out)
         return 0
 
     sections = args.sections.split(",") if args.sections else None
@@ -109,9 +112,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        _write(json_text(report.to_payload()), args.out)
+        _write(parser, json_text(report.to_payload()), args.out)
     else:
-        _write("\n".join(report.lines()) + "\n", args.out)
+        _write(parser, "\n".join(report.lines()) + "\n", args.out)
     return 0 if report.passed else 1
 
 

@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import TripIndices, aso_form
+from .algebra import TripIndices, aso_form, sign_table, table_orientation
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
     Assessor,
     BoxKite,
     assessors_for_strut,
-    edge_sign,
-    slot_orientations,
+    edge_rule,
     slot_trips,
 )
 from .lariats import TripSyncReport, trip_sync_report
@@ -64,13 +63,22 @@ class ZDGraph:
 
 
 def zd_graph(n: int, s: int) -> ZDGraph:
-    """Every pairwise edge sign, from the closed form in ``edge_sign``."""
+    """Every pairwise edge sign, by ``edge_rule`` on rows of the sign table.
+
+    Its C(2^(n-1) - 2, 2) pair tests, about 4^n / 8 of four lookups each,
+    are work of the order of the table's 4^n bytes.
+    """
     assessors = tuple(assessors_for_strut(s, n))
+    table = sign_table(n)
+    ends = [v.indices for v in assessors]
     signs = {}
-    for i, j in combinations(range(len(assessors)), 2):
-        sign = edge_sign(assessors[i], assessors[j])
-        if sign is not None:
-            signs[i, j] = sign
+    for i, (a, big_a) in enumerate(ends):
+        row, big_row = table[a], table[big_a]
+        for j in range(i + 1, len(ends)):
+            b, big_b = ends[j]
+            sign = edge_rule(row[b], big_row[big_b], row[big_b], big_row[b])
+            if sign is not None:
+                signs[i, j] = sign
     return ZDGraph(n, s, assessors, signs)
 
 
@@ -126,10 +134,11 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     lexicographically least low triple.  Kites with no zigzag sail exist
     (trip-sync counterexamples appear at n=6 for s above 24); those fall
     back to the lexicographically least sail so the sweep can report them
-    instead of crashing.  F, E, D are the antipodes of A, B, C.  The twelve
-    edge signs are read from the graph.
+    instead of crashing.  F, E, D are the antipodes of A, B, C.  The slot
+    orientations come from the sign table of the graph's level, the twelve
+    edge signs from the graph.
     """
-    assessors = graph.assessors
+    assessors, table = graph.assessors, sign_table(graph.n)
     pairs = (struts[0:2], struts[2:4], struts[4:6])
     # low index -> (position, strut partner's position)
     by_low = {}
@@ -140,7 +149,7 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     for x, y in product(first, second):
         ordered = aso_form((x, y, x ^ y))
         verts = tuple(assessors[by_low[o][0]] for o in ordered)
-        all_positive = all(o > 0 for o in slot_orientations(slot_trips(verts)))
+        all_positive = all(table_orientation(table, *t) > 0 for t in slot_trips(verts))
         faces.append((ordered, all_positive))
     faces.sort()
     zigzags = [f for f in faces if f[1]]

@@ -131,25 +131,39 @@ def is_zero_divisor_pair(d1: Diagonal, d2: Diagonal) -> bool:
     return hc_mul(d1.rep, d2.rep).is_zero
 
 
+def edge_rule(ab: int, big_ab: int, a_big_b: int, big_a_b: int) -> int | None:
+    """Edge sign of assessors (a, A) and (b, B) sharing X, or None.
+
+    Takes the signs of e_a*e_b, e_A*e_B, e_a*e_B and e_A*e_b, each as 1 (or
+    True) when negative.  The product (e_a + sigma e_A)(e_b + tau e_B) lands
+    on a^b and a^B = A^b only; it vanishes iff sgn(a,b) sgn(A,B) = sgn(a,B)
+    sgn(A,b) and sigma tau = -sgn(a,b) sgn(A,B).
+    """
+    direct_negative = ab ^ big_ab
+    if direct_negative != a_big_b ^ big_a_b:
+        return None
+    return 1 if direct_negative else -1
+
+
 def edge_sign(a1: Assessor, a2: Assessor) -> int | None:
     """Edge sign between two assessors, or None when no pairing annihilates.
 
     "+" means like-oriented diagonals multiply to zero, "-" means oppositely
-    oriented ones do.  For (a, A) and (b, B) sharing X, the product
-    (e_a + sigma e_A)(e_b + tau e_B) lands on a^b and a^B = A^b only; it
-    vanishes iff sgn(a,b) sgn(A,B) = sgn(a,B) sgn(A,b) and sigma tau =
-    -sgn(a,b) sgn(A,B).  Different X spread it over four indices, so it never
-    vanishes.  The tests check this against the four ``hc_mul`` products.
+    oriented ones do.  Assessors sharing X follow ``edge_rule``; different X
+    spread the product over four indices, so it never vanishes.  The tests
+    check this against the four ``hc_mul`` products.
     """
     if a1.n != a2.n:
         raise ValueError("diagonals live in different algebras")
     a, big_a, b, big_b = a1.o, a1.hi, a2.o, a2.hi
     if a == b or a ^ big_a != b ^ big_b:
         return None
-    direct = blade_sign(a, b) * blade_sign(big_a, big_b)
-    if direct != blade_sign(a, big_b) * blade_sign(big_a, b):
-        return None
-    return -direct
+    return edge_rule(
+        blade_sign(a, b) < 0,
+        blade_sign(big_a, big_b) < 0,
+        blade_sign(a, big_b) < 0,
+        blade_sign(big_a, b) < 0,
+    )
 
 
 def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices]:

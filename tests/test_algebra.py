@@ -1,6 +1,7 @@
 """Basis products, exact multivectors, triples, and their laws."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from boxkites.algebra import (
     enumerate_trips,
     hc_mul,
     rotations,
+    sign_table,
+    table_orientation,
     trip_orientation,
 )
 from boxkites.fixtures import O_TRIPS, S_TRIPS
@@ -73,6 +76,37 @@ class TestBladeMul:
         for a in range(16):
             for b in range(16):
                 assert blade_mul(a, b, 4).sign == blade_mul(a, b, 6).sign
+
+
+class TestSignTable:
+    def test_matches_blade_sign_below_256(self):
+        table = sign_table(8)
+        assert len(table) == 256
+        for a, row in enumerate(table):
+            assert list(row) == [int(blade_sign(a, b) < 0) for b in range(256)], a
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rows_are_prefixes_one_level_up(self, k):
+        low, high = sign_table(k), sign_table(k + 1)
+        assert len(low) == 1 << k and len(high) == 2 << k
+        assert all(len(row) == 1 << k and high[a].startswith(row) for a, row in enumerate(low))
+
+    def test_one_level_held(self):
+        sign_table(5)
+        sign_table(6)
+        info = sign_table.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+
+    def test_orientation_keeps_the_unit_triple_check(self):
+        table = sign_table(5)
+        for trip in enumerate_trips(5):
+            for perm in permutations(trip):
+                assert table_orientation(table, *perm) == trip_orientation(*perm)
+        for bad in [(1, 2, 4), (0, 1, 1), (3, 3, 0), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="not a unit triple"):
+                table_orientation(table, *bad)
+            with pytest.raises(ValueError, match="not a unit triple"):
+                trip_orientation(*bad)
 
 
 class TestHypercomplex:

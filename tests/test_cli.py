@@ -100,6 +100,16 @@ class TestEmit:
         assert code == 0
         assert target.read_text().startswith("| Box-Kite |")
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "census.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "census", "--dim", "64", "--out", str(target)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {target}: " in captured.err
+        assert not target.parent.exists()
+
     def test_usage_error_bad_dim(self):
         with pytest.raises(SystemExit) as err:
             main(["emit", "box-kite", "--dim", "24"])
@@ -320,6 +330,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--sections", "nonesuch"])
         assert err.value.code == 2
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--sections", "trips", "--format", "json", "--out", str(target)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {target}: " in captured.err
+        assert not target.parent.exists()
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from boxkites import fixtures

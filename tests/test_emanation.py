@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -23,7 +24,15 @@ from boxkites.fixtures import (
     PATHION_S1_ROWS,
     PATHION_S9_KITES,
 )
-from boxkites.kites import LETTERS, BoxKite, assessors_for_strut, build_box_kite
+from boxkites.kites import (
+    LETTERS,
+    Assessor,
+    BoxKite,
+    assessors_for_strut,
+    build_box_kite,
+    edge_sign,
+)
+from boxkites.lariats import quizzical_tables, switching_yard, trip_sync_report
 
 
 def reference_search(n, s):
@@ -191,6 +200,58 @@ class TestZDGraph:
         for foreign in zd_graph(4, 2).assessors + zd_graph(5, 1).assessors:
             for a in graph.assessors:
                 assert graph.sign(a, foreign) is None and graph.sign(foreign, a) is None
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_signs_match_edge_sign_on_every_pair(self, n):
+        # the graph reads the sign table, edge_sign reads blade_sign, and
+        # edge_sign alone is checked against hc_mul
+        for s in range(1, 1 << (n - 1)):
+            graph = zd_graph(n, s)
+            nodes = graph.assessors
+            expected = [
+                ((i, j), edge_sign(nodes[i], nodes[j]))
+                for i, j in combinations(range(len(nodes)), 2)
+            ]
+            assert list(graph.signs.items()) == [e for e in expected if e[1] is not None], s
+
+
+class TestSignTableUse:
+    """Entry points that take one object, at any n, read ``blade_sign`` only."""
+
+    def test_object_entry_points_build_no_table(self, monkeypatch):
+        kites = [build_box_kite(s) for s in range(1, 8)] + find_box_kites(5, 9)
+        swept = find_box_kites(6, 25)  # 56 of its 87 kites fail trip sync
+        groups = [assessors_for_strut(s, n) for n, s in [(4, 3), (5, 9), (6, 25)]]
+        groups.append([Assessor(20, o, o ^ ((1 << 19) + 5)) for o in range(1, 41) if o != 5])
+        pairs = [pair for group in groups for pair in combinations(group, 2)]
+
+        def results():
+            return (
+                [edge_sign(a1, a2) for a1, a2 in pairs],
+                [build_box_kite(s) for s in range(1, 8)],
+                [trip_sync_report(kite) for kite in kites + swept],
+                [switching_yard(kite) for kite in kites],
+                [quizzical_tables(kite) for kite in kites],
+            )
+
+        expected = results()
+
+        def refuse(n):
+            raise AssertionError(f"sign table of level {n} asked for")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "boxkites" and hasattr(module, "sign_table"):
+                monkeypatch.setattr(module, "sign_table", refuse)
+        with pytest.raises(AssertionError, match="asked for"):
+            zd_graph(5, 1)
+        assert results() == expected
+
+    def test_trip_sync_report_refuses_vertices_off_one_x(self):
+        kite = build_box_kite(1)
+        stray = Assessor(4, kite.vertices[0].o, kite.vertices[0].o ^ 10)  # X = 10, not 9
+        hand_built = BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
+        with pytest.raises(ValueError, match="not a unit triple"):
+            trip_sync_report(hand_built)
 
 
 class TestFindBoxKites:

@@ -8,16 +8,21 @@ small, fails here.  The three large n = 6 and n = 7 outputs at the end of
 and must be refused, with a usage error, for every other target.  The full
 ``boxkites verify --format json`` report is pinned as well: it carries every
 check's expected and computed value, so it fixes every lariat table and loop
-verdict that verify computes.
+verdict that verify computes.  Last, every output the benchmark checks
+(the 65 entries of ``perfbench/references.json``) is made in-process and
+compared by digest and length, verify also by its (id, passed) list.
 """
 
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from boxkites.cli import main
 from boxkites.render import TARGETS, RenderSpec, cmd_emit
+from boxkites.verify import run_verification
 
 GOLDEN = {
     RenderSpec("strut-table"): {
@@ -158,3 +163,31 @@ def test_verify_json_matches_golden(capsys):
     assert main(["verify", "--format", "json"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON
+
+
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+)["references"]
+
+
+def test_every_benchmark_reference_is_checked():
+    assert set(REFERENCES) == {"census-n6", "verify"} | {
+        f"tripsync-n7-s{s}" for s in range(1, 64)
+    }
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCES))
+def test_benchmark_reference_reproduced(key):
+    """Each output the benchmark checks, made in-process as its worker makes it."""
+    reference = REFERENCES[key]
+    if key == "verify":
+        checks = [[r.check_id, r.passed] for r in run_verification().results]
+        assert checks == reference["checks"]
+        data = json.dumps(checks, separators=(",", ":")).encode()
+    else:
+        op, level, *s = key.split("-")
+        spec = RenderSpec(target=op, n=int(level[1:]), format="json")
+        if s:
+            spec = replace(spec, s_values=(int(s[0][1:]),))
+        data = cmd_emit(spec).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (reference["sha256"], reference["bytes"])
