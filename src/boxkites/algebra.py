@@ -219,21 +219,11 @@ def hc_mul(x: Hypercomplex, y: Hypercomplex) -> Hypercomplex:
     return Hypercomplex(x.dim_exponent, out)
 
 
-def _require_unit_triple(a: int, b: int, c: int) -> None:
-    if len({a, b, c}) != 3 or 0 in (a, b, c) or a ^ b != c:
-        raise ValueError(f"({a}, {b}, {c}) is not a unit triple")
-
-
 def trip_orientation(a: int, b: int, c: int) -> int:
-    """+1 iff e_a * e_b = +e_c, for a genuine triple (a xor b = c)."""
-    _require_unit_triple(a, b, c)
+    """+1 iff e_a * e_b = +e_c, for a genuine triple (a xor b = c, none 0)."""
+    if 0 in (a, b, c) or a ^ b != c:
+        raise ValueError(f"({a}, {b}, {c}) is not a unit triple")
     return blade_sign(a, b)
-
-
-def table_orientation(table: SignTable, a: int, b: int, c: int) -> int:
-    """``trip_orientation`` read from a ``sign_table`` that covers a, b, c."""
-    _require_unit_triple(a, b, c)
-    return -1 if table[a][b] else 1
 
 
 def aso_form(indices) -> TripIndices:

@@ -7,6 +7,8 @@ check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, cmd_emit, json_text
@@ -71,6 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(parser: argparse.ArgumentParser, out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work,
+    creating and truncating nothing; ``_write`` reports a later failure."""
+    if out is None or out == "-":
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        parser.error(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+        parser.error(f"cannot write {out}: {os.strerror(code)}")
+
+
 def _write(parser: argparse.ArgumentParser, text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -100,6 +115,7 @@ def main(argv=None) -> int:
                 s_values=s_values,
                 failures_only=args.failures_only,
             )
+            _check_out(parser, args.out)
             text = cmd_emit(spec)
         except ValueError as exc:
             parser.error(str(exc))
@@ -107,6 +123,7 @@ def main(argv=None) -> int:
         return 0
 
     sections = args.sections.split(",") if args.sections else None
+    _check_out(parser, args.out)
     try:
         report = run_verification(sections)
     except ValueError as exc:

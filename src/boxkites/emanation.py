@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import TripIndices, aso_form, sign_table, table_orientation
+from .algebra import TripIndices, aso_form, sign_table
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -21,7 +21,6 @@ from .kites import (
     BoxKite,
     assessors_for_strut,
     edge_rule,
-    slot_trips,
 )
 from .lariats import TripSyncReport, trip_sync_report
 
@@ -129,16 +128,19 @@ def _kite_struts(graph: ZDGraph):
 def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     """Canonical letters for the box-kite on these strut positions.
 
-    A, B, C take the sail whose four slot triples are all positively
-    oriented, rotated to start at the smallest low index; ties go to the
-    lexicographically least low triple.  Kites with no zigzag sail exist
-    (trip-sync counterexamples appear at n=6 for s above 24); those fall
-    back to the lexicographically least sail so the sweep can report them
-    instead of crashing.  F, E, D are the antipodes of A, B, C.  The slot
-    orientations come from the sign table of the graph's level, the twelve
-    edge signs from the graph.
+    A, B, C take a zigzag sail, one whose three edges in the graph are all
+    "-", its lows in ASO order (positive, smallest first); ties go to the
+    least low triple.  Kites with no zigzag sail exist (trip-sync
+    counterexamples appear at n=6 for s above 24); those take the least
+    sail so the sweep can report them.  F, E, D are the antipodes of A, B, C.
+
+    A zigzag is also the sail whose four slot triples, in ASO order, are
+    all positive.  With lows a, b, c (e_a e_b = +e_c) and highs A, B, C,
+    ``edge_rule`` makes p-q "-" iff sgn(p,q) = sgn(P,Q).  As sgn(a,b) =
+    sgn(b,c) = sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c),
+    (a,B,C) and (A,b,C) are positive; (a,b,c) is positive by its order.
     """
-    assessors, table = graph.assessors, sign_table(graph.n)
+    assessors = graph.assessors
     pairs = (struts[0:2], struts[2:4], struts[4:6])
     # low index -> (position, strut partner's position)
     by_low = {}
@@ -148,9 +150,9 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     faces = []
     for x, y in product(first, second):
         ordered = aso_form((x, y, x ^ y))
-        verts = tuple(assessors[by_low[o][0]] for o in ordered)
-        all_positive = all(table_orientation(table, *t) > 0 for t in slot_trips(verts))
-        faces.append((ordered, all_positive))
+        u, v, w = sorted(by_low[o][0] for o in ordered)
+        zigzag = max(graph.signs[u, v], graph.signs[u, w], graph.signs[v, w]) < 0
+        faces.append((ordered, zigzag))
     faces.sort()
     zigzags = [f for f in faces if f[1]]
     chosen = (zigzags or faces)[0][0]

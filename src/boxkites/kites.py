@@ -9,14 +9,15 @@ whose three antipodal pairs (struts) carry none.
 
 Vertex letters: F, E, D sit at the opposite ends of the struts from A, B,
 C respectively, and (a, b, c), the low indices of A, B, C, is a positively
-oriented triple starting at the smallest index.  Two rules pick the sail
-A, B, C.  ``build_box_kite`` (n = 4) takes the strut terminals.  The search
-(``emanation.find_box_kites``, any n) takes a zigzag sail, one whose four
-slot triples are all positively oriented, or, on a kite with none (168 of
-1,113 at n = 6), the lexicographically least sail; at n = 4 it names each
-kite as ``build_box_kite`` does.  So the A, B, C sail's three edges are all
-"-" exactly when the kite has a zigzag sail: on every sedenion kite, and on
-945 of the 1,113 at n = 6.
+oriented triple starting at the smallest index.  A sail is a zigzag when its
+three edges are all "-", and a trefoil otherwise.  One rule picks the sail
+A, B, C: the zigzag sail with the least low triple or, on a kite with none
+(168 of 1,113 at n = 6), the least sail (``emanation.find_box_kites``, any
+n).  At n = 4 every kite has one zigzag, the strut terminals, so
+``build_box_kite`` names each kite as the search does.  With its lows in
+ASO order, a sail's four slot triples are all positively oriented exactly
+when it is a zigzag (proved at ``emanation._label_kite``), so the edge
+signs alone decide.
 """
 
 from __future__ import annotations
@@ -177,11 +178,6 @@ def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripInd
     return ((l0, l1, l2), (l0, h1, h2), (h0, l1, h2), (h0, h1, l2))
 
 
-def slot_orientations(trips) -> tuple[int, int, int, int]:
-    """Orientations of the four ``slot_trips`` of three vertices, in slot order."""
-    return tuple(trip_orientation(*t) for t in trips)
-
-
 @dataclass(frozen=True)
 class Sail:
     """Three mutually zero-dividing vertices of a box-kite, in slot order."""
@@ -196,13 +192,6 @@ class Sail:
 
     def trips(self) -> tuple[TripIndices, ...]:
         return slot_trips(self.vertices)
-
-    def orientations(self) -> tuple[int, ...]:
-        return slot_orientations(self.trips())
-
-    @property
-    def is_zigzag_by_trips(self) -> bool:
-        return all(o > 0 for o in self.orientations())
 
 
 @dataclass(frozen=True)
@@ -257,7 +246,7 @@ class BoxKite:
         return tuple(self.sail(name) for name in SAIL_LETTERS)
 
     def zigzag_sails(self) -> list[Sail]:
-        return [s for s in self.sails if s.is_zigzag_by_trips]
+        return [s for s in self.sails if s.kind == "zigzag"]
 
     def __str__(self) -> str:
         inner = ", ".join(f"{p}={self.vertex(p)}" for p in LETTERS)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign
-from .kites import LETTERS, SYNC_SAIL_ORDER, BoxKite, Sail, slot_orientations, slot_trips
+from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
+from .kites import LETTERS, SYNC_SAIL_ORDER, BoxKite, Sail, slot_trips
 
 YARD_SYMBOLS = (
     "R", "8", "X", "S",
@@ -306,5 +306,6 @@ def trip_sync_report(bk: BoxKite) -> TripSyncReport:
     sails = []
     for name, vertices, expected in _SYNC_SAILS:
         trips = slot_trips(vertices(bk.vertices))
-        sails.append(SailSync(name, trips, slot_orientations(trips), expected))
+        orientations = tuple(trip_orientation(*t) for t in trips)
+        sails.append(SailSync(name, trips, orientations, expected))
     return TripSyncReport(bk.n, bk.s, tuple(sails))

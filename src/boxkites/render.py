@@ -43,7 +43,7 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes about 5 s).  Its 127 x 7,875 = 1,000,125 assessor pairs
+# census takes about 4 s).  Its 127 x 7,875 = 1,000,125 assessor pairs
 # bound the search of every request.
 MAX_WHOLE_LEVEL_N = 8
 MAX_PAIRS = (2 ** (MAX_WHOLE_LEVEL_N - 1) - 1) * comb(2 ** (MAX_WHOLE_LEVEL_N - 1) - 2, 2)

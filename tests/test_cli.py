@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import boxkites
-from boxkites import emanation, render
+from boxkites import cli, emanation, render
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
 from boxkites.lariats import switching_yard
@@ -109,6 +109,27 @@ class TestEmit:
         assert captured.out == ""
         assert f"cannot write {target}: " in captured.err
         assert not target.parent.exists()
+
+    def test_unwritable_out_refused_before_any_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(n, s):
+            raise AssertionError(f"zd_graph({n}, {s}) called")
+
+        monkeypatch.setattr(emanation, "zd_graph", no_search)
+        target = tmp_path / "missing" / "x.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "census", "--dim", "256", "--out", str(target)])
+        assert err.value.code == 2
+        assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
+
+    def test_directory_out_refused_and_left_alone(self, tmp_path, capsys):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept")
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "strut-table", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["kept.txt"]
+        assert kept.read_text() == "kept"
 
     def test_usage_error_bad_dim(self):
         with pytest.raises(SystemExit) as err:
@@ -340,6 +361,17 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert f"cannot write {target}: " in captured.err
         assert not target.parent.exists()
+
+    def test_unwritable_out_refused_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def no_checks(sections=None):
+            raise AssertionError("checks ran")
+
+        monkeypatch.setattr(cli, "run_verification", no_checks)
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--out", str(target)])
+        assert err.value.code == 2
+        assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from boxkites import fixtures

@@ -4,6 +4,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from boxkites.kites import (
     assessors_for_strut,
     build_box_kite,
     edge_sign,
+    slot_trips,
 )
 from boxkites.lariats import quizzical_tables, switching_yard, trip_sync_report
 
@@ -424,6 +426,58 @@ class TestFindBoxKites:
         kites = find_box_kites(n, 1)
         assert len(kites) == ((1 << (n - 2)) - 1) * ((1 << (n - 3)) - 1) // 3 == expected
         assert all(is_native(kite) for kite in kites)
+
+
+class TestZigzagRule:
+    """A sail's three edges are all "-" exactly when its four slot triples,
+    lows in ASO order, are positive, so labelling by the edges is
+    labelling by the orientations."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_edge_rule_and_orientation_rule_agree(self, n):
+        for s in range(1, 1 << (n - 1)):
+            for kite in find_box_kites(n, s):
+                zigzag = False
+                for sail in kite.sails:
+                    a, b, c = sail.vertices
+                    if trip_orientation(a.o, b.o, c.o) < 0:
+                        a, c = c, a  # reversed, it is a rotation of the ASO order
+                    positive = min(trip_orientation(*t) for t in slot_trips((a, b, c))) > 0
+                    assert (sail.kind == "zigzag") == positive, (s, kite, sail.name)
+                    zigzag = zigzag or positive
+                if zigzag:  # the ABC sail is then a zigzag, and passes
+                    assert trip_sync_report(kite).sails[0].passed, (s, kite)
+                if n == 7:  # test_matches_reference_search_in_order checks n = 5, 6
+                    assert kite == reference_label(n, s, kite.struts), (s, kite)
+
+    def test_zigzag_sails_per_kite_at_n6_s25(self):
+        # whatever the spelling, a sail with three "-" edges is a zigzag
+        counts = Counter(len(kite.zigzag_sails()) for kite in find_box_kites(6, 25))
+        assert counts == {0: 24, 1: 55, 4: 8}
+
+    @pytest.mark.parametrize("patterns,chosen", [
+        (("--+", "---", "---", "+++"), 1),  # the first all-"-" face
+        (("--+", "-++", "+-+", "+++"), 0),  # none: the least face
+    ])
+    def test_labelling_counts_all_three_edges(self, patterns, chosen):
+        # on the algebra's graphs every sail has one or three "-" edges, so
+        # doctor them: each edge lies on one sail, and the faces, in the
+        # labelling's order, take these signs on their edges (v0-v1, v1-v2, v2-v0)
+        graph = zd_graph(4, 1)
+        (struts,) = emanation._kite_struts(graph)
+        position = {a.o: i for i, a in enumerate(graph.assessors)}
+        faces = sorted(
+            aso_form(v.o for v in sail.vertices)
+            for sail in emanation._label_kite(graph, struts).sails
+        )
+        signs = {}
+        for lows, pattern in zip(faces, patterns):
+            u, v, w = (position[o] for o in lows)
+            for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
+                signs[min(p, q), max(p, q)] = -1 if mark == "-" else 1
+        doctored = ZDGraph(4, 1, graph.assessors, signs)
+        kite = emanation._label_kite(doctored, struts)
+        assert tuple(v.o for v in kite.vertices[:3]) == faces[chosen]
 
 
 class TestPathionLift:
