@@ -10,8 +10,9 @@ import argparse
 import errno
 import os
 import sys
+from collections.abc import Iterable
 
-from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, cmd_emit, json_text
+from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, emit_chunks, json_text
 from .verify import SECTIONS, run_verification
 
 
@@ -86,13 +87,14 @@ def _check_out(parser: argparse.ArgumentParser, out: str | None) -> None:
         parser.error(f"cannot write {out}: {os.strerror(code)}")
 
 
-def _write(parser: argparse.ArgumentParser, text: str, out: str | None) -> None:
+def _write(parser: argparse.ArgumentParser, chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks as they come; a failure part-way is a usage error."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         parser.error(f"cannot write {out}: {exc.strerror or exc}")
 
@@ -116,10 +118,10 @@ def main(argv=None) -> int:
                 failures_only=args.failures_only,
             )
             _check_out(parser, args.out)
-            text = cmd_emit(spec)
+            chunks = emit_chunks(spec)
         except ValueError as exc:
             parser.error(str(exc))
-        _write(parser, text, args.out)
+        _write(parser, chunks, args.out)
         return 0
 
     sections = args.sections.split(",") if args.sections else None
@@ -129,9 +131,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        _write(parser, json_text(report.to_payload()), args.out)
+        _write(parser, [json_text(report.to_payload())], args.out)
     else:
-        _write(parser, "\n".join(report.lines()) + "\n", args.out)
+        _write(parser, ["\n".join(report.lines()) + "\n"], args.out)
     return 0 if report.passed else 1
 
 

@@ -10,8 +10,9 @@ whole sweeps of strut constants.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra import TripIndices, aso_form, sign_table
 from .kites import (
@@ -22,7 +23,7 @@ from .kites import (
     assessors_for_strut,
     edge_rule,
 )
-from .lariats import TripSyncReport, trip_sync_report
+from .lariats import _SYNC_SAILS
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ def _kite_struts(graph: ZDGraph):
                     yield u1, v1, u2, v2, u3, v3
 
 
-def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
-    """Canonical letters for the box-kite on these strut positions.
+def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
+    """The lows of A, B, C on the box-kite with these strut positions.
 
     A, B, C take a zigzag sail, one whose three edges in the graph are all
     "-", its lows in ASO order (positive, smallest first); ties go to the
@@ -140,24 +141,24 @@ def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
     sgn(b,c) = sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c),
     (a,B,C) and (A,b,C) are positive; (a,b,c) is positive by its order.
     """
+    assessors, s, signs = graph.assessors, graph.s, graph.signs
+    u1, v1, u2, v2 = struts[:4]
+    faces = []  # (trefoil, lows in ASO order): the least is the chosen sail
+    for x in (assessors[u1].o, assessors[v1].o):
+        for y in (assessors[u2].o, assessors[v2].o):
+            a, b, c = sorted((x, y, x ^ y))
+            i, j, k = a - 1 - (a > s), b - 1 - (b > s), c - 1 - (c > s)  # as ZDGraph._position
+            faces.append((max(signs[i, j], signs[i, k], signs[j, k]) > 0, aso_form((a, b, c))))
+    return min(faces)[1]
+
+
+def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
+    """The box-kite on these strut positions, lettered as ``_abc_lows`` says."""
     assessors = graph.assessors
-    pairs = (struts[0:2], struts[2:4], struts[4:6])
-    # low index -> (position, strut partner's position)
-    by_low = {}
-    for u, v in pairs:
-        by_low[assessors[u].o], by_low[assessors[v].o] = (u, v), (v, u)
-    first, second = ((assessors[u].o, assessors[v].o) for u, v in pairs[:2])
-    faces = []
-    for x, y in product(first, second):
-        ordered = aso_form((x, y, x ^ y))
-        u, v, w = sorted(by_low[o][0] for o in ordered)
-        zigzag = max(graph.signs[u, v], graph.signs[u, w], graph.signs[v, w]) < 0
-        faces.append((ordered, zigzag))
-    faces.sort()
-    zigzags = [f for f in faces if f[1]]
-    chosen = (zigzags or faces)[0][0]
-    (a, f), (b, e), (c, d) = (by_low[o] for o in chosen)
-    positions = (a, b, c, d, e, f)
+    at_low = {assessors[u].o: u for u in struts}
+    a, b, c = _abc_lows(graph, struts)
+    t = assessors[struts[0]].o ^ assessors[struts[1]].o  # the struts' low XOR
+    positions = tuple(at_low[o] for o in (a, b, c, c ^ t, b ^ t, a ^ t))
     at = dict(zip(LETTERS, positions))
     signs = {}
     for (p, q), key in _EDGE_KEYS.items():
@@ -231,26 +232,56 @@ class SweepReport:
         return len(self.entries)
 
 
+def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
+    """The strut constants a sweep visits: ``s_values`` sorted once each, or
+    every s of level n."""
+    if s_values is None:
+        s_values = range(1, 1 << (n - 1))
+    return tuple(sorted(set(s_values)))
+
+
+def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
+    """The trip-sync verdict of every box-kite of (n, s), in the order of
+    ``find_box_kites``.
+
+    Each strut triple of the search is lettered by ``_abc_lows``;
+    the 16 slot orientations of its sync-order sails are bytes of the sign
+    table, compared with the pattern ``lariats._SYNC_SAILS`` expects.  No
+    kite or report object is built; ``lariats.trip_sync_report`` on the
+    labelled kite is the reference.
+    """
+    graph = zd_graph(n, s)
+    assessors, table = graph.assessors, sign_table(n)
+    x = (1 << (n - 1)) + s
+    found = []  # (ABC lows, strut positions, low XOR of the struts)
+    for struts in _kite_struts(graph):
+        t = assessors[struts[0]].o ^ assessors[struts[1]].o
+        found.append((_abc_lows(graph, struts), struts, t))
+    found.sort(key=lambda f: f[:2])
+    for abc, _, t in found:
+        a, b, c = abc
+        ends = tuple((o, o ^ x) for o in (a, b, c, c ^ t, b ^ t, a ^ t))  # (low, high) by letter
+        counterexamples = []
+        for _, vertices, expected in _SYNC_SAILS:
+            # a sail's slot triples (l0 l1 l2) (l0 h1 h2) (h0 l1 h2) (h0 h1 l2)
+            # close under XOR, so the first two slots name each triple
+            (l0, h0), (l1, h1), _ = vertices(ends)
+            for p, q, want in ((l0, l1, expected[0]), (l0, h1, expected[1]),
+                               (h0, l1, expected[2]), (h0, h1, expected[3])):
+                if table[p][q] != (want < 0):  # byte 1: e_p e_q is negative
+                    counterexamples.append((p, q, p ^ q))
+        yield SweepEntry(s, abc, not counterexamples, tuple(counterexamples))
+
+
 def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
     """Check the trip-synchronization pattern on every kite of every s.
 
     Makes no claim beyond the swept range; failures carry the offending
     triples so they can be replayed.
     """
-    if s_values is None:
-        s_values = range(1, 1 << (n - 1))
-    s_values = tuple(sorted(set(s_values)))
-    entries = []
-    for s in s_values:
-        for kite in find_box_kites(n, s):
-            report: TripSyncReport = trip_sync_report(kite)
-            counterexamples = tuple(
-                trip for sail in report.sails for trip in sail.counterexamples()
-            )
-            entries.append(
-                SweepEntry(s, report.abc_lows, report.passed, counterexamples)
-            )
-    return SweepReport(n, s_values, tuple(entries))
+    s_values = sweep_range(n, s_values)
+    entries = tuple(entry for s in s_values for entry in sweep_entries(n, s))
+    return SweepReport(n, s_values, entries)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Deterministic renderers: markdown, CSV, JSON, and DOT for every target.
 
-Each builder produces a plain-data payload (dicts, lists, strings) and each
-renderer is a pure function of that payload, so identical invocations are
-byte-identical.  JSON table cells use the grammar "0", "+R", "-R", "+8",
-"-8", "+X", "-X", "+S", "-S", and signed vertex letters.
+Most targets build a plain-data payload (dicts, lists, strings) and render
+it by a pure function of that payload; the tripsync sweep is written kite
+by kite as it is found, in the layout its payload would have.  Identical
+invocations are byte-identical.  JSON table cells use the grammar "0",
+"+R", "-R", "+8", "-8", "+X", "-X", "+S", "-S", and signed vertex letters.
 
-``REGISTRY`` is the one list of targets: each entry names its payload
-builder, the text blocks its markdown and CSV forms are made of, and the
-constraints a request for it must meet.
+``REGISTRY`` is the one list of targets: each entry names how its text is
+written, and the request fields it reads and the constraints they must
+meet.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from itertools import chain
 from math import comb
 from typing import Callable
 
-from .emanation import CensusReport, SweepReport, census, find_box_kites, trip_sync_sweep, zd_graph
+from .emanation import CensusReport, SweepEntry, census, find_box_kites, sweep_entries, sweep_range, zd_graph
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -43,8 +46,9 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes about 4 s).  Its 127 x 7,875 = 1,000,125 assessor pairs
-# bound the search of every request.
+# census takes about 3.5 s, its trip-sync sweep about 18 s written out).
+# Its 127 x 7,875 = 1,000,125 assessor pairs bound the search of every
+# request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8
 MAX_PAIRS = (2 ** (MAX_WHOLE_LEVEL_N - 1) - 1) * comb(2 ** (MAX_WHOLE_LEVEL_N - 1) - 2, 2)
 # The command-line flag that sets each request field.
@@ -102,22 +106,24 @@ class RenderSpec:
                 )
 
 
-def markdown_table(headers, rows) -> str:
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
+def markdown_table(headers, rows) -> Iterator[str]:
+    """The lines of a markdown table, each with its newline; ``rows`` is read
+    one row at a time."""
+    yield "| " + " | ".join(str(h) for h in headers) + " |\n"
+    yield "| " + " | ".join("---" for _ in headers) + " |\n"
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+        yield "| " + " | ".join(str(c) for c in row) + " |\n"
 
 
-def csv_table(headers, rows) -> str:
+def csv_table(headers, rows) -> Iterator[str]:
+    """The lines of a CSV table, as ``markdown_table``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for row in chain((headers,), rows):
+        writer.writerow(row)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def json_text(payload) -> str:
@@ -226,29 +232,6 @@ def census_payload(report: CensusReport) -> dict:
     return payload
 
 
-def sweep_payload(report: SweepReport, failures_only: bool = False) -> dict:
-    """The sweep as data; ``failures_only`` drops the passing kites and
-    records the size of the whole sweep as ``kite_count``."""
-    payload = {
-        "n": report.n,
-        "s_values": list(report.s_values),
-        "kites": [
-            {
-                "s": entry.s,
-                "abc": list(entry.abc_lows),
-                "passed": entry.passed,
-                "counterexamples": [list(t) for t in entry.counterexamples],
-            }
-            for entry in report.entries
-            if not (failures_only and entry.passed)
-        ],
-        "all_passed": report.all_passed,
-    }
-    if failures_only:
-        payload["kite_count"] = report.kite_count
-    return payload
-
-
 def dot_zd_graph(n: int, s: int) -> str:
     """DOT text for the zero-divisor graph; vertices named o_hi."""
     graph = zd_graph(n, s)
@@ -306,105 +289,166 @@ def _census_blocks(payload: dict) -> list:
     return [(["s", "box-kites"], rows)] + [f"note: {note}" for note in payload.get("notes", [])]
 
 
-def _sweep_blocks(payload: dict) -> list:
-    rows = [
+# --------------------------------------------------------------- the sweep
+# The tripsync text is written kite by kite as the sweep finds them.  Its
+# JSON is what ``json_text`` gives the sweep as data: {"n", "s_values",
+# "kites": [{"s", "abc", "passed", "counterexamples"}, ...], "all_passed"},
+# and, when ``failures_only`` drops the passing kites, "kite_count", the
+# size of the whole sweep.  Its tables hold one row per kite shown and an
+# "overall" line.
+
+def _json_list(items, indent: str) -> str:
+    """Items, each laid out already, as ``json_text`` lays out a list at this
+    indent."""
+    lines = ",\n".join(f"{indent}  {item}" for item in items)
+    return f"[\n{lines}\n{indent}]" if lines else "[]"
+
+
+def _kite_json(entry: SweepEntry) -> str:
+    """One kite of the sweep, as an item of the "kites" list."""
+    trips = _json_list((_json_list(t, "        ") for t in entry.counterexamples), "      ")
+    return (
+        f'    {{\n      "s": {entry.s},\n      "abc": {_json_list(entry.abc_lows, "      ")},\n'
+        f'      "passed": {"true" if entry.passed else "false"},\n'
+        f'      "counterexamples": {trips}\n    }}'
+    )
+
+
+def _sweep_text(spec: RenderSpec) -> Iterator[str]:
+    """The tripsync text in chunks, each written as soon as its kite is found."""
+    s_values = sweep_range(spec.n, spec.s_values or None)
+    count, all_passed = 0, True
+
+    def shown() -> Iterator[SweepEntry]:
+        nonlocal count, all_passed
+        for s in s_values:
+            for entry in sweep_entries(spec.n, s):
+                count += 1
+                all_passed = all_passed and entry.passed
+                if not (spec.failures_only and entry.passed):
+                    yield entry
+
+    if spec.format == "json":
+        yield f'{{\n  "n": {spec.n},\n  "s_values": {_json_list(s_values, "  ")},\n  "kites": ['
+        separator = "\n"
+        for entry in shown():
+            yield separator + _kite_json(entry)
+            separator = ",\n"
+        tail = "]" if separator == "\n" else "\n  ]"
+        tail += f',\n  "all_passed": {"true" if all_passed else "false"}'
+        if spec.failures_only:
+            tail += f',\n  "kite_count": {count}'
+        yield tail + "\n}\n"
+        return
+    table = markdown_table if spec.format == "markdown" else csv_table
+    rows = (
         [
-            kite["s"],
-            _joined(kite["abc"]),
-            "pass" if kite["passed"] else "FAIL",
-            "; ".join(_joined(t) for t in kite["counterexamples"]),
+            entry.s,
+            _joined(entry.abc_lows),
+            "pass" if entry.passed else "FAIL",
+            "; ".join(_joined(t) for t in entry.counterexamples),
         ]
-        for kite in payload["kites"]
-    ]
-    verdict = "pass" if payload["all_passed"] else "FAIL"
-    count = payload.get("kite_count", len(payload["kites"]))
-    return [
-        (["s", "ABC", "trip-sync", "counterexamples"], rows),
-        f"overall: {verdict} over {count} kites",
-    ]
+        for entry in shown()
+    )
+    yield from table(["s", "ABC", "trip-sync", "counterexamples"], rows)
+    yield f"overall: {'pass' if all_passed else 'FAIL'} over {count} kites\n"
 
 
 # ---------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
 class Target:
-    """One emit target: how to build it, how to lay it out, what it needs."""
+    """One emit target: how to write its text, and what a request for it needs."""
 
-    payload: Callable[[RenderSpec], dict]
-    blocks: Callable[[dict], list]
-    # the request fields, besides target and format, that the payload reads
+    # the text of a request, in chunks; a refusal is raised before it returns
+    text: Callable[[RenderSpec], Iterable[str]]
+    # the request fields, besides target and format, that the text reads
     params: tuple[str, ...] = ()
     default_dim: int = 16
     dot: bool = False
 
 
+def _tabulated(payload: Callable[[RenderSpec], dict], blocks: Callable[[dict], list]):
+    """The text of a target built whole as a payload: its JSON, or its blocks
+    laid out in the requested table format."""
+
+    def text(spec: RenderSpec) -> list[str]:
+        data = payload(spec)
+        if spec.format == "json":
+            return [json_text(data)]
+        table = markdown_table if spec.format == "markdown" else csv_table
+        return [
+            block + "\n" if isinstance(block, str) else "".join(table(*block))
+            for block in blocks(data)
+        ]
+
+    return text
+
+
 REGISTRY: dict[str, Target] = {
-    "strut-table": Target(
+    "strut-table": Target(_tabulated(
         lambda spec: strut_table_payload(),
         lambda p: [(
             ["Box-Kite", "GoTo", *LETTERS],
             [[ROMAN[r["s"]], _joined(r["goto"])] + _vertex_cells(r["vertices"]) for r in p["rows"]],
         )],
-    ),
-    "box-kite": Target(
+    )),
+    "box-kite": Target(_tabulated(
         lambda spec: box_kite_payload(_kite(spec)),
         lambda p: [
             (["vertex", "o", "hi"], [[v, *p["vertices"][v]] for v in LETTERS]),
             (["end1", "end2", "sign"], [[*e["ends"], e["sign"]] for e in p["edges"]]),
         ],
-        ("n", "s"), dot=True,
-    ),
-    "yard": Target(
+    ), ("n", "s"), dot=True),
+    "yard": Target(_tabulated(
         lambda spec: table_payload(switching_yard(build_box_kite(spec.s))),
-        lambda p: [_lariat_table(p)], ("s",),
-    ),
-    "mock": Target(
+        lambda p: [_lariat_table(p)],
+    ), ("s",)),
+    "mock": Target(_tabulated(
         lambda spec: table_payload(
             mock_octonion_table(build_box_kite(spec.s), spec.strut), strut=spec.strut
         ),
-        lambda p: [_lariat_table(p)], ("s", "strut"),
-    ),
-    "quizzical": Target(
+        lambda p: [_lariat_table(p)],
+    ), ("s", "strut")),
+    "quizzical": Target(_tabulated(
         lambda spec: quizzical_payload(quizzical_tables(build_box_kite(spec.s))),
-        _quizzical_blocks, ("s",),
-    ),
-    "sync-table": Target(
+        _quizzical_blocks,
+    ), ("s",)),
+    "sync-table": Target(_tabulated(
         lambda spec: sync_table_payload(),
         lambda p: [(
             ["BK"] + [sail["name"] for sail in p["rows"][0]["sails"]],
             [[ROMAN[r["s"]]] + [_sync_cell(sail) for sail in r["sails"]] for r in p["rows"]],
         )],
-    ),
-    "pathion": Target(
+    )),
+    "pathion": Target(_tabulated(
         lambda spec: pathion_payload(spec.n, spec.s),
         lambda p: [(
             ["Kite", *LETTERS],
             [[i + 1] + _vertex_cells(kite["vertices"]) for i, kite in enumerate(p["kites"])],
         )],
-        ("n", "s"), default_dim=32, dot=True,
+    ), ("n", "s"), default_dim=32, dot=True),
+    "census": Target(
+        _tabulated(lambda spec: census_payload(census(spec.n)), _census_blocks), ("n",)
     ),
-    "census": Target(lambda spec: census_payload(census(spec.n)), _census_blocks, ("n",)),
-    "tripsync": Target(
-        lambda spec: sweep_payload(
-            trip_sync_sweep(spec.n, spec.s_values or None), spec.failures_only
-        ),
-        _sweep_blocks, ("n", "s_values", "failures_only"),
-    ),
+    "tripsync": Target(_sweep_text, ("n", "s_values", "failures_only")),
 }
 
 TARGETS = tuple(REGISTRY)
 
 
+def emit_chunks(spec: RenderSpec) -> Iterable[str]:
+    """The text of one request, in chunks; deterministic byte-for-byte.
+
+    Every target but tripsync is built whole before this returns, so a
+    refusal (ValueError) comes before any text; the tripsync sweep runs as
+    its chunks are read, and keeps no kite it has written.
+    """
+    if spec.format == "dot":
+        return [dot_zd_graph(spec.n, spec.s)]
+    return REGISTRY[spec.target].text(spec)
+
+
 def cmd_emit(spec: RenderSpec) -> str:
     """Render one target; deterministic byte-for-byte."""
-    if spec.format == "dot":
-        return dot_zd_graph(spec.n, spec.s)
-    target = REGISTRY[spec.target]
-    payload = target.payload(spec)
-    if spec.format == "json":
-        return json_text(payload)
-    table = markdown_table if spec.format == "markdown" else csv_table
-    return "".join(
-        block + "\n" if isinstance(block, str) else table(*block)
-        for block in target.blocks(payload)
-    )
+    return "".join(emit_chunks(spec))

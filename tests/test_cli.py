@@ -1,5 +1,7 @@
 """Command line and renderer contracts: determinism, round trips, exits."""
 
+import errno
+import io
 import json
 import os
 import re
@@ -305,6 +307,112 @@ class TestDeterminism:
     )
     def test_byte_identical_across_runs(self, spec):
         assert cmd_emit(spec) == cmd_emit(spec)
+
+
+def materialised_sweep(spec, report=None):
+    """The tripsync text rendered whole: the sweep as one payload, laid out
+    by ``json.dumps`` or the table renderers."""
+    if report is None:
+        report = emanation.trip_sync_sweep(spec.n, spec.s_values or None)
+    kites = [
+        {
+            "s": entry.s,
+            "abc": list(entry.abc_lows),
+            "passed": entry.passed,
+            "counterexamples": [list(t) for t in entry.counterexamples],
+        }
+        for entry in report.entries
+        if not (spec.failures_only and entry.passed)
+    ]
+    payload = {"n": report.n, "s_values": list(report.s_values), "kites": kites,
+               "all_passed": report.all_passed}
+    if spec.failures_only:
+        payload["kite_count"] = report.kite_count
+    if spec.format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    def joined(values):
+        return " ".join(str(v) for v in values)
+
+    rows = [
+        [k["s"], joined(k["abc"]), "pass" if k["passed"] else "FAIL",
+         "; ".join(joined(t) for t in k["counterexamples"])]
+        for k in kites
+    ]
+    table = render.markdown_table if spec.format == "markdown" else render.csv_table
+    verdict = "pass" if report.all_passed else "FAIL"
+    return (
+        "".join(table(["s", "ABC", "trip-sync", "counterexamples"], rows))
+        + f"overall: {verdict} over {report.kite_count} kites\n"
+    )
+
+
+class TestSweepStream:
+    """The tripsync text is written kite by kite, in the bytes of the sweep
+    rendered whole."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_every_s_matches_materialised_render(self, n):
+        requests = [(s,) for s in range(1, 1 << (n - 1))]
+        if n < 7:
+            requests.append(())  # the whole level: kites of many s in one list
+        for s_values in requests:
+            report = emanation.trip_sync_sweep(n, s_values or None)
+            for fmt in ("json", "markdown", "csv"):
+                for failures_only in (False, True):
+                    spec = RenderSpec("tripsync", fmt, n=n, s_values=s_values,
+                                      failures_only=failures_only)
+                    assert cmd_emit(spec) == materialised_sweep(spec, report), spec
+
+    def test_all_passing_failures_only_lists_no_kites(self):
+        spec = RenderSpec("tripsync", "json", n=5, failures_only=True)
+        text = cmd_emit(spec)
+        assert text == materialised_sweep(spec)
+        assert '\n  "kites": [],\n  "all_passed": true,\n  "kite_count": 77\n}\n' in text
+
+    def test_chunks_come_before_the_sweep_ends(self, monkeypatch):
+        # the head and the first kite are out while later s are still unswept
+        swept = []
+
+        def counted(n, s, fused=emanation.sweep_entries):
+            swept.append(s)
+            return fused(n, s)
+
+        monkeypatch.setattr(render, "sweep_entries", counted)
+        chunks = iter(render.emit_chunks(RenderSpec("tripsync", "json", n=6)))
+        assert next(chunks).startswith('{\n  "n": 6,')
+        assert next(chunks).startswith('\n    {\n      "s": 1,')
+        assert swept == [1]
+
+    def test_write_error_part_way_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return len(text)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        target = tmp_path / "sweep.json"
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "tripsync", "--dim", "64", "--s-range", "25", "--format", "json",
+                  "--out", str(target)])
+        assert err.value.code == 2
+        assert f"cannot write {target}: No space left on device" in capsys.readouterr().err
+        assert written[0].startswith('{\n  "n": 6,')  # the head got out first
+
+    def test_unwritable_out_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_search(n, s):
+            raise AssertionError(f"zd_graph({n}, {s}) called")
+
+        monkeypatch.setattr(emanation, "zd_graph", no_search)
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main(["emit", "tripsync", "--dim", "256", "--out", str(target)])
+        assert err.value.code == 2
+        assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
+        assert not target.parent.exists()
 
 
 class TestRoundTrip:

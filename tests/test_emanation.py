@@ -565,6 +565,34 @@ class TestSweep:
         backward = trip_sync_sweep(5, [9, 8, 1])
         assert forward == backward
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_fused_verdicts_match_trip_sync_report(self, n):
+        # the sweep reads orientations from the sign table and builds no kite;
+        # the one-kite report on the labelled kite is the reference, per kite
+        # and in the order of (ABC lows, strut positions)
+        for s in range(1, 1 << (n - 1)):
+            graph = zd_graph(n, s)
+            labelled = sorted(
+                (
+                    (tuple(v.o for v in kite.vertices[:3]), struts, kite)
+                    for struts in emanation._kite_struts(graph)
+                    for kite in [emanation._label_kite(graph, struts)]
+                ),
+                key=lambda found: found[:2],
+            )
+            expected = []
+            for *_, kite in labelled:
+                report = trip_sync_report(kite)
+                counterexamples = tuple(
+                    trip for sail in report.sails for trip in sail.counterexamples()
+                )
+                expected.append((s, report.abc_lows, report.passed, counterexamples))
+            fused = [
+                (e.s, e.abc_lows, e.passed, e.counterexamples)
+                for e in emanation.sweep_entries(n, s)
+            ]
+            assert fused == expected, (n, s)
+
     def test_failures_carry_counterexamples(self):
         # the doubly-high strut region at n=6 genuinely breaks the pattern;
         # every reported failure must carry reproducible counterexample trips
