@@ -30,7 +30,8 @@ from .lariats import _SYNC_SAILS
 class ZDGraph:
     """Zero-divisor adjacency over the assessors of (n, s), with edge signs.
 
-    ``signs`` is keyed by position pairs (i, j), i < j, in ``assessors``.
+    Within one (n, s) an assessor is fixed by its low index, so ``signs`` is
+    keyed by low pairs (a, b), a < b.  The low s is never a vertex.
     """
 
     n: int
@@ -38,27 +39,21 @@ class ZDGraph:
     assessors: tuple[Assessor, ...]
     signs: dict[tuple[int, int], int]
 
-    def _position(self, a: Assessor) -> int | None:
-        if a.n != self.n or a.s != self.s:
-            return None  # another (n, s): never adjacent here
-        return a.o - 1 - (a.o > self.s)  # ascending lows, s itself skipped
+    def _assessor(self, o: int) -> Assessor:
+        return self.assessors[o - 1 - (o > self.s)]  # ascending lows, s itself skipped
 
     def sign(self, a1: Assessor, a2: Assessor) -> int | None:
-        i, j = self._position(a1), self._position(a2)
-        if i is None or j is None:
-            return None
-        return self.signs.get((min(i, j), max(i, j)))
+        if any(a.n != self.n or a.s != self.s for a in (a1, a2)):
+            return None  # another (n, s): never adjacent here
+        return self.signs.get((min(a1.o, a2.o), max(a1.o, a2.o)))
 
     def edges(self) -> list[tuple[Assessor, Assessor, int]]:
-        nodes = self.assessors
-        return [(nodes[i], nodes[j], sign) for (i, j), sign in self.signs.items()]
+        node = self._assessor
+        return [(node(a), node(b), sign) for (a, b), sign in self.signs.items()]
 
     def non_adjacent_pairs(self) -> list[tuple[Assessor, Assessor]]:
-        nodes = self.assessors
         return [
-            (nodes[i], nodes[j])
-            for i, j in combinations(range(len(nodes)), 2)
-            if (i, j) not in self.signs
+            (u, v) for u, v in combinations(self.assessors, 2) if (u.o, v.o) not in self.signs
         ]
 
 
@@ -74,11 +69,10 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     signs = {}
     for i, (a, big_a) in enumerate(ends):
         row, big_row = table[a], table[big_a]
-        for j in range(i + 1, len(ends)):
-            b, big_b = ends[j]
+        for b, big_b in ends[i + 1 :]:
             sign = edge_rule(row[b], big_row[big_b], row[big_b], big_row[b])
             if sign is not None:
-                signs[i, j] = sign
+                signs[a, b] = sign
     return ZDGraph(n, s, assessors, signs)
 
 
@@ -87,38 +81,33 @@ _EDGE_KEYS = {pair: frozenset(pair) for pair in EDGE_LETTER_PAIRS}
 
 
 def _kite_struts(graph: ZDGraph):
-    """Strut position triples (u1, v1, u2, v2, u3, v3) of every box-kite.
+    """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite.
 
     Non-edges are bucketed by low XOR t.  Two cross-adjacent struts
-    {a, a^t} and {b, b^t} of one bucket fix the third as {a^b, a^b^t},
-    found by position; it must avoid the low s, come after the second in
-    the bucket, be a non-edge, and be adjacent to all four vertices of the
-    first two.  Each kite is met once, its struts in bucket order.  On the
-    algebra's graphs (checked for n <= 8) only the order condition ever
-    rejects; the others keep the search exact on any graph.
+    {a, a^t} and {b, b^t} of one bucket fix the third as {a^b, a^b^t}; it
+    must come after the second in the bucket, be a non-edge, and be
+    adjacent to all four vertices of the first two.  The low s is never a
+    vertex, so no adjacency bit of it is set and a third strut on s fails
+    that last test.  Each kite is met once, its struts in bucket order.  On
+    the algebra's graphs only the order condition ever rejects (checked for
+    n <= 8, tested for n <= 7); the others keep the search exact on any graph.
     """
-    s, assessors, signs = graph.s, graph.assessors, graph.signs
-    lows = [a.o for a in assessors]
-    adjacency = [0] * len(assessors)
+    signs = graph.signs
+    adjacency = [0] * (1 << (graph.n - 1))  # bit b of adjacency[a]: a-b is an edge
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for i, j in combinations(range(len(assessors)), 2):
-        if (i, j) in signs:
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
+    for a, b in combinations([v.o for v in graph.assessors], 2):
+        if (a, b) in signs:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
         else:
-            buckets.setdefault(lows[i] ^ lows[j], []).append((i, j))
-    for t, bucket in buckets.items():
+            buckets.setdefault(a ^ b, []).append((a, b))
+    for bucket in buckets.values():
         for e1, (u1, v1) in enumerate(bucket):
             common1 = adjacency[u1] & adjacency[v1]
-            a = lows[u1]
             for u2, v2 in bucket[e1 + 1 :]:
                 if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
                     continue
-                c = a ^ lows[u2]
-                c, d = sorted((c, c ^ t))
-                if c == s or d == s:
-                    continue
-                u3, v3 = c - 1 - (c > s), d - 1 - (d > s)  # as ZDGraph._position
+                u3, v3 = sorted((u1 ^ u2, u1 ^ v2))
                 if (u3, v3) <= (u2, v2) or (u3, v3) in signs:
                     continue
                 common2 = common1 & adjacency[u2] & adjacency[v2]
@@ -127,7 +116,7 @@ def _kite_struts(graph: ZDGraph):
 
 
 def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
-    """The lows of A, B, C on the box-kite with these strut positions.
+    """The lows of A, B, C on the box-kite with these strut lows.
 
     A, B, C take a zigzag sail, one whose three edges in the graph are all
     "-", its lows in ASO order (positive, smallest first); ties go to the
@@ -141,30 +130,26 @@ def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
     sgn(b,c) = sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c),
     (a,B,C) and (A,b,C) are positive; (a,b,c) is positive by its order.
     """
-    assessors, s, signs = graph.assessors, graph.s, graph.signs
+    signs = graph.signs
     u1, v1, u2, v2 = struts[:4]
     faces = []  # (trefoil, lows in ASO order): the least is the chosen sail
-    for x in (assessors[u1].o, assessors[v1].o):
-        for y in (assessors[u2].o, assessors[v2].o):
+    for x in (u1, v1):
+        for y in (u2, v2):
             a, b, c = sorted((x, y, x ^ y))
-            i, j, k = a - 1 - (a > s), b - 1 - (b > s), c - 1 - (c > s)  # as ZDGraph._position
-            faces.append((max(signs[i, j], signs[i, k], signs[j, k]) > 0, aso_form((a, b, c))))
+            faces.append((max(signs[a, b], signs[a, c], signs[b, c]) > 0, aso_form((a, b, c))))
     return min(faces)[1]
 
 
 def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
-    """The box-kite on these strut positions, lettered as ``_abc_lows`` says."""
-    assessors = graph.assessors
-    at_low = {assessors[u].o: u for u in struts}
+    """The box-kite on these strut lows, lettered as ``_abc_lows`` says."""
     a, b, c = _abc_lows(graph, struts)
-    t = assessors[struts[0]].o ^ assessors[struts[1]].o  # the struts' low XOR
-    positions = tuple(at_low[o] for o in (a, b, c, c ^ t, b ^ t, a ^ t))
-    at = dict(zip(LETTERS, positions))
+    t = struts[0] ^ struts[1]  # the struts' low XOR
+    at = dict(zip(LETTERS, (a, b, c, c ^ t, b ^ t, a ^ t)))
     signs = {}
     for (p, q), key in _EDGE_KEYS.items():
         u, v = sorted((at[p], at[q]))
         signs[key] = graph.signs[u, v]
-    return BoxKite(graph.n, graph.s, tuple(assessors[u] for u in positions), signs)
+    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, at.values())), signs)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -184,10 +169,10 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
     non-edge adjacent to the other four vertices, all four transversals
     x^y close, which is the checkerboard of four sails.  The search forms
     only that candidate and so meets box-kites only, each once.  Ordered by
-    the low-index triple of the A, B, C sail, then by strut positions.
+    the low-index triple of the A, B, C sail, then by strut lows.
     """
     graph = zd_graph(n, s)
-    found = []  # (ABC lows, strut positions, kite)
+    found = []  # (ABC lows, strut lows, kite)
     for struts in _kite_struts(graph):
         kite = _label_kite(graph, struts)
         found.append((tuple(v.o for v in kite.vertices[:3]), struts, kite))
@@ -250,16 +235,11 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     kite or report object is built; ``lariats.trip_sync_report`` on the
     labelled kite is the reference.
     """
-    graph = zd_graph(n, s)
-    assessors, table = graph.assessors, sign_table(n)
+    graph, table = zd_graph(n, s), sign_table(n)
     x = (1 << (n - 1)) + s
-    found = []  # (ABC lows, strut positions, low XOR of the struts)
-    for struts in _kite_struts(graph):
-        t = assessors[struts[0]].o ^ assessors[struts[1]].o
-        found.append((_abc_lows(graph, struts), struts, t))
-    found.sort(key=lambda f: f[:2])
-    for abc, _, t in found:
+    for abc, struts in sorted((_abc_lows(graph, st), st) for st in _kite_struts(graph)):
         a, b, c = abc
+        t = struts[0] ^ struts[1]  # the struts' low XOR
         ends = tuple((o, o ^ x) for o in (a, b, c, c ^ t, b ^ t, a ^ t))  # (low, high) by letter
         counterexamples = []
         for _, vertices, expected in _SYNC_SAILS:

@@ -16,7 +16,7 @@ A, B, C: the zigzag sail with the least low triple or, on a kite with none
 n).  At n = 4 every kite has one zigzag, the strut terminals, so
 ``build_box_kite`` names each kite as the search does.  With its lows in
 ASO order, a sail's four slot triples are all positively oriented exactly
-when it is a zigzag (proved at ``emanation._label_kite``), so the edge
+when it is a zigzag (proved at ``emanation._abc_lows``), so the edge
 signs alone decide.
 """
 

@@ -77,18 +77,17 @@ def reference_search(n, s):
 def reference_label(n, s, antipodes):
     if len({u.o ^ v.o for u, v in antipodes}) != 1:
         return None
-    partner = {}
+    by_low, partner = {}, {}  # keyed by low index: one (n, s) throughout
     for u, v in antipodes:
-        partner[u], partner[v] = v, u
+        by_low[u.o], by_low[v.o] = u, v
+        partner[u.o], partner[v.o] = v.o, u.o
     faces = []
-    for triple in combinations(partner, 3):
-        if any(partner[u] == v for u, v in combinations(triple, 2)):
+    for lows in combinations(partner, 3):
+        if any(partner[a] == b for a, b in combinations(lows, 2)):
             continue
-        lows = tuple(v.o for v in triple)
         if lows[0] ^ lows[1] ^ lows[2]:
             continue
         ordered = aso_form(lows)
-        by_low = {v.o: v for v in triple}
         verts = tuple(by_low[o] for o in ordered)
         all_positive = all(
             trip_orientation(*t) > 0
@@ -107,19 +106,18 @@ def reference_label(n, s, antipodes):
     chosen = zigzags[0] if zigzags else faces[0]
     vertex_map = dict(zip("ABC", chosen[1]))
     for letter, abc_letter in (("F", "A"), ("E", "B"), ("D", "C")):
-        vertex_map[letter] = partner[vertex_map[abc_letter]]
+        vertex_map[letter] = by_low[partner[vertex_map[abc_letter].o]]
     return BoxKite.assemble(n, s, vertex_map)
 
 
 def bucket_scan(graph):
-    """Strut position triples by scanning whole strut-XOR buckets: three
+    """Strut low triples by scanning whole strut-XOR buckets: three
     disjoint non-edges in bucket order, all twelve cross pairs edges, and the
     lows of the first two struts XOR-closing onto the third."""
-    lows = [a.o for a in graph.assessors]
     buckets = {}
-    for i, j in combinations(range(len(lows)), 2):
-        if (i, j) not in graph.signs:
-            buckets.setdefault(lows[i] ^ lows[j], []).append((i, j))
+    for a, b in combinations([v.o for v in graph.assessors], 2):
+        if (a, b) not in graph.signs:
+            buckets.setdefault(a ^ b, []).append((a, b))
 
     def adjacent(p, q):
         return (min(p, q), max(p, q)) in graph.signs
@@ -137,8 +135,8 @@ def bucket_scan(graph):
                 for q in y
             ):
                 continue
-            closure = {lows[first[0]] ^ lows[second[0]], lows[first[0]] ^ lows[second[1]]}
-            if {lows[third[0]], lows[third[1]]} == closure:
+            closure = {first[0] ^ second[0], first[0] ^ second[1]}
+            if {third[0], third[1]} == closure:
                 found.append(first + second + third)
     return found
 
@@ -209,10 +207,9 @@ class TestZDGraph:
         # edge_sign alone is checked against hc_mul
         for s in range(1, 1 << (n - 1)):
             graph = zd_graph(n, s)
-            nodes = graph.assessors
             expected = [
-                ((i, j), edge_sign(nodes[i], nodes[j]))
-                for i, j in combinations(range(len(nodes)), 2)
+                ((u.o, v.o), edge_sign(u, v))
+                for u, v in combinations(graph.assessors, 2)
             ]
             assert list(graph.signs.items()) == [e for e in expected if e[1] is not None], s
 
@@ -290,10 +287,11 @@ class TestFindBoxKites:
 
     def test_every_found_kite_keeps_octahedral_invariants(self):
         for s in (1, 8, 9):
+            graph = zd_graph(5, s)
             for kite in find_box_kites(5, s):
                 assert len(kite.edge_signs) == 12
                 for v1, v2 in kite.struts:
-                    assert kite.edge_signs.get(frozenset((v1, v2))) is None
+                    assert edge_sign(v1, v2) is None and graph.sign(v1, v2) is None
                 for sail in kite.sails:
                     lows = [v.o for v in sail.vertices]
                     assert lows[0] ^ lows[1] ^ lows[2] == 0
@@ -374,7 +372,7 @@ class TestFindBoxKites:
         graph = zd_graph(n, s)
         rng = random.Random(seed)
         signs = {}
-        for pair in combinations(range(len(graph.assessors)), 2):
+        for pair in combinations([v.o for v in graph.assessors], 2):
             sign = graph.signs.get(pair)
             if rng.random() < 1 / 8:
                 sign = None if sign else 1
@@ -386,14 +384,14 @@ class TestFindBoxKites:
     @pytest.mark.parametrize("s", [2, 7, 14])
     def test_closure_search_when_a_third_low_is_s(self, s):
         # complete graph minus one low-XOR class t: for t = s ^ (s + 1) the
-        # closure of two struts can land on the absent low s, whose position
-        # arithmetic would otherwise alias low s + 1
+        # closure of two struts can land on the absent low s, which the
+        # search rejects only because no adjacency bit of s is ever set
         assessors = tuple(assessors_for_strut(s, 5))
         for t in range(1, 16):
             signs = {
-                (i, j): 1
-                for i, j in combinations(range(len(assessors)), 2)
-                if assessors[i].o ^ assessors[j].o != t
+                (a, b): 1
+                for a, b in combinations([v.o for v in assessors], 2)
+                if a ^ b != t
             }
             graph = ZDGraph(5, s, assessors, signs)
             assert list(emanation._kite_struts(graph)) == bucket_scan(graph), t
@@ -465,14 +463,13 @@ class TestZigzagRule:
         # labelling's order, take these signs on their edges (v0-v1, v1-v2, v2-v0)
         graph = zd_graph(4, 1)
         (struts,) = emanation._kite_struts(graph)
-        position = {a.o: i for i, a in enumerate(graph.assessors)}
         faces = sorted(
             aso_form(v.o for v in sail.vertices)
             for sail in emanation._label_kite(graph, struts).sails
         )
         signs = {}
         for lows, pattern in zip(faces, patterns):
-            u, v, w = (position[o] for o in lows)
+            u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
                 signs[min(p, q), max(p, q)] = -1 if mark == "-" else 1
         doctored = ZDGraph(4, 1, graph.assessors, signs)
@@ -519,6 +516,29 @@ class TestCensus:
     def test_counting_agrees_with_labelling(self, n):
         report = census(n)
         assert report.per_s == {s: len(find_box_kites(n, s)) for s in range(1, 1 << (n - 1))}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_only_the_order_condition_rejects_a_third_strut(self, n):
+        # from the graph alone: a kite's three struts share a low-XOR bucket
+        # and make three cross-adjacent pairs, so the pairs number three per
+        # kite exactly when every such pair completes to a kite
+        per_s = census(n).per_s
+        for s in range(1, 1 << (n - 1)):
+            graph = zd_graph(n, s)
+            neighbours = {v.o: 0 for v in graph.assessors}
+            for a, b in graph.signs:
+                neighbours[a] |= 1 << b
+                neighbours[b] |= 1 << a
+            buckets = {}
+            for a, b in combinations(neighbours, 2):
+                if not (neighbours[a] >> b) & 1:
+                    buckets.setdefault(a ^ b, []).append((a, b))
+            cross_adjacent = 0
+            for bucket in buckets.values():
+                for (u1, v1), (u2, v2) in combinations(bucket, 2):
+                    common = neighbours[u1] & neighbours[v1]
+                    cross_adjacent += (common >> u2) & (common >> v2) & 1
+            assert cross_adjacent == 3 * per_s[s], s
 
     def test_census_builds_no_kite(self, monkeypatch):
         def refuse(*args):
@@ -569,7 +589,7 @@ class TestSweep:
     def test_fused_verdicts_match_trip_sync_report(self, n):
         # the sweep reads orientations from the sign table and builds no kite;
         # the one-kite report on the labelled kite is the reference, per kite
-        # and in the order of (ABC lows, strut positions)
+        # and in the order of (ABC lows, strut lows)
         for s in range(1, 1 << (n - 1)):
             graph = zd_graph(n, s)
             labelled = sorted(

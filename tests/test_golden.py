@@ -79,6 +79,14 @@ GOLDEN = {
         "json": "184e65e59b5ce5249a452f75e94bc0fb4d27ad5ca241090a6cd8a0759c1e963e",
         "dot": "94ed215f614a5007dc9d2c7b1ce0385ac412c3f9a99613ea376ceb3008f38a54",
     },
+    # 87 kites, 24 of them with no zigzag sail and so lettered by their least
+    # sail, and the n = 6 graph in DOT
+    RenderSpec("pathion", n=6, s=25): {
+        "markdown": "55d5f06d0dfbee5d9ec5f70a403384cd71fb81125a44587da70b719c2784ea6e",
+        "csv": "be314ee10a9c839459afe047437b9fb56525ffc60e67cc8767cc97a005096dfe",
+        "json": "e222941673b3e84d82856697ddef25f408b70c5e1f2dbfb6be66713f9d401a20",
+        "dot": "9ec58627875dfd80e93b071feb0540a983d9ba163833faf8ae3f5a7a312a8d2e",
+    },
     RenderSpec("census", n=5): {
         "markdown": "2beee1f326fe4a6d61cf8adbe3ee42c45337245f220c8a6265d1452215a646f8",
         "csv": "25df9d135b4d51159c4ae3d2e228869c1b2644b3f0d4e891b8b06a25984070aa",
