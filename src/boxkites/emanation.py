@@ -18,12 +18,13 @@ from .algebra import TripIndices, aso_form, sign_table
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
+    SYNC_SAILS,
     Assessor,
     BoxKite,
     assessors_for_strut,
     edge_rule,
+    slot_trips,
 )
-from .lariats import _SYNC_SAILS
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,6 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     return ZDGraph(n, s, assessors, signs)
 
 
-# One frozenset key per edge, shared by the ``edge_signs`` of every kite found.
-_EDGE_KEYS = {pair: frozenset(pair) for pair in EDGE_LETTER_PAIRS}
-
-
 def _kite_struts(graph: ZDGraph):
     """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite.
 
@@ -122,7 +119,7 @@ def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
     "-", its lows in ASO order (positive, smallest first); ties go to the
     least low triple.  Kites with no zigzag sail exist (trip-sync
     counterexamples appear at n=6 for s above 24); those take the least
-    sail so the sweep can report them.  F, E, D are the antipodes of A, B, C.
+    sail so the sweep can report them.
 
     A zigzag is also the sail whose four slot triples, in ASO order, are
     all positive.  With lows a, b, c (e_a e_b = +e_c) and highs A, B, C,
@@ -140,16 +137,26 @@ def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
     return min(faces)[1]
 
 
-def _label_kite(graph: ZDGraph, struts: tuple[int, ...]) -> BoxKite:
-    """The box-kite on these strut lows, lettered as ``_abc_lows`` says."""
-    a, b, c = _abc_lows(graph, struts)
-    t = struts[0] ^ struts[1]  # the struts' low XOR
-    at = dict(zip(LETTERS, (a, b, c, c ^ t, b ^ t, a ^ t)))
+def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
+    """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows).
+
+    A, B, C are as ``_abc_lows`` says; F, E, D are their strut partners."""
+    for (a, b, c), struts in sorted((_abc_lows(graph, st), st) for st in _kite_struts(graph)):
+        t = struts[0] ^ struts[1]  # the struts' low XOR
+        yield a, b, c, c ^ t, b ^ t, a ^ t
+
+
+# Each edge's key in ``BoxKite.edge_signs``, shared by every kite, and its ends' letter indices.
+_EDGES = tuple((frozenset(pair), *map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
+
+
+def _label_kite(graph: ZDGraph, lows: tuple[int, ...]) -> BoxKite:
+    """The box-kite whose letters A to F have these lows."""
     signs = {}
-    for (p, q), key in _EDGE_KEYS.items():
-        u, v = sorted((at[p], at[q]))
+    for key, i, j in _EDGES:
+        u, v = sorted((lows[i], lows[j]))
         signs[key] = graph.signs[u, v]
-    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, at.values())), signs)
+    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, lows)), signs)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -172,12 +179,7 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
     the low-index triple of the A, B, C sail, then by strut lows.
     """
     graph = zd_graph(n, s)
-    found = []  # (ABC lows, strut lows, kite)
-    for struts in _kite_struts(graph):
-        kite = _label_kite(graph, struts)
-        found.append((tuple(v.o for v in kite.vertices[:3]), struts, kite))
-    found.sort(key=lambda f: f[:2])
-    return [kite for *_, kite in found]
+    return [_label_kite(graph, lows) for lows in _kite_lows(graph)]
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:
@@ -229,28 +231,23 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     """The trip-sync verdict of every box-kite of (n, s), in the order of
     ``find_box_kites``.
 
-    Each strut triple of the search is lettered by ``_abc_lows``;
-    the 16 slot orientations of its sync-order sails are bytes of the sign
-    table, compared with the pattern ``lariats._SYNC_SAILS`` expects.  No
+    Each kite of the search is lettered by ``_kite_lows``; the 16 slot
+    triples of its sync-order sails are checked against the pattern
+    ``kites.SYNC_SAILS`` expects.  A slot triple closes under XOR, so its
+    orientation is the one sign-table byte of its first two indices.  No
     kite or report object is built; ``lariats.trip_sync_report`` on the
     labelled kite is the reference.
     """
     graph, table = zd_graph(n, s), sign_table(n)
     x = (1 << (n - 1)) + s
-    for abc, struts in sorted((_abc_lows(graph, st), st) for st in _kite_struts(graph)):
-        a, b, c = abc
-        t = struts[0] ^ struts[1]  # the struts' low XOR
-        ends = tuple((o, o ^ x) for o in (a, b, c, c ^ t, b ^ t, a ^ t))  # (low, high) by letter
+    for lows in _kite_lows(graph):
+        ends = [(o, o ^ x) for o in lows]  # (low, high) by letter
         counterexamples = []
-        for _, vertices, expected in _SYNC_SAILS:
-            # a sail's slot triples (l0 l1 l2) (l0 h1 h2) (h0 l1 h2) (h0 h1 l2)
-            # close under XOR, so the first two slots name each triple
-            (l0, h0), (l1, h1), _ = vertices(ends)
-            for p, q, want in ((l0, l1, expected[0]), (l0, h1, expected[1]),
-                               (h0, l1, expected[2]), (h0, h1, expected[3])):
-                if table[p][q] != (want < 0):  # byte 1: e_p e_q is negative
-                    counterexamples.append((p, q, p ^ q))
-        yield SweepEntry(s, abc, not counterexamples, tuple(counterexamples))
+        for _, vertices, expected in SYNC_SAILS:
+            for trip, want in zip(slot_trips(vertices(ends)), expected):
+                if table[trip[0]][trip[1]] != (want < 0):  # byte 1: the triple is negative
+                    counterexamples.append(trip)
+        yield SweepEntry(s, lows[:3], not counterexamples, tuple(counterexamples))
 
 
 def trip_sync_sweep(n: int, s_values=None) -> SweepReport:

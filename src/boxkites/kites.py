@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .algebra import (
     Hypercomplex,
@@ -48,6 +49,14 @@ EDGE_LETTER_PAIRS = tuple(
 SAIL_LETTERS = ("ABC", "ADE", "FDB", "FCE")
 # Order used by the trip-synchronization tabulation and the quizzical blocks.
 SYNC_SAIL_ORDER = ("ABC", "ADE", "FCE", "FDB")
+# Trip sync: each sync-order sail, a getter for its vertices from the six in
+# letter order, and the orientations its slot triples must show: the low
+# triple is positive, a mixed one iff it keeps a low of A, B or C.
+SYNC_SAILS = tuple(
+    (name, itemgetter(*map(LETTERS.index, name)),
+     (1,) + tuple(1 if letter in "ABC" else -1 for letter in name))
+    for name in SYNC_SAIL_ORDER
+)
 # Every spelling of a sail: its three letters in any order.
 _SAIL_SPELLINGS = frozenset("".join(p) for name in SAIL_LETTERS for p in permutations(name))
 
@@ -167,14 +176,14 @@ def edge_sign(a1: Assessor, a2: Assessor) -> int | None:
     )
 
 
-def slot_trips(vertices) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices]:
+def slot_trips(ends) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices]:
     """The four index triples a sail circuit touches, in slot order.
 
+    ``ends`` holds the (low, high) index pairs of the sail's three vertices.
     First the three low indices, then the three mixed triples that keep
     exactly one slot's low index and swap the other two slots to their highs.
     """
-    (l0, l1, l2) = (v.o for v in vertices)
-    (h0, h1, h2) = (v.hi for v in vertices)
+    (l0, h0), (l1, h1), (l2, h2) = ends
     return ((l0, l1, l2), (l0, h1, h2), (h0, l1, h2), (h0, h1, l2))
 
 
@@ -191,7 +200,7 @@ class Sail:
         return "zigzag" if all(s < 0 for s in self.edge_signs) else "trefoil"
 
     def trips(self) -> tuple[TripIndices, ...]:
-        return slot_trips(self.vertices)
+        return slot_trips([v.indices for v in self.vertices])
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
-from .kites import LETTERS, SYNC_SAIL_ORDER, BoxKite, Sail, slot_trips
+from .kites import SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, slot_trips
 
 YARD_SYMBOLS = (
     "R", "8", "X", "S",
@@ -176,15 +175,20 @@ def switching_yard(bk: BoxKite) -> LariatTable:
     return LariatTable(bk.n, bk.s, YARD_SYMBOLS, _cells(_Lines(bk), YARD_SYMBOLS))
 
 
+def _strut_symbols(strut: str) -> tuple[str, ...]:
+    """The symbol sequence (R, 8, X, S, P, q, p, Q) of one strut pair."""
+    if strut not in STRUT_SYMBOLS:
+        raise ValueError(f"strut must be one of {sorted(STRUT_SYMBOLS)}")
+    return ("R", "8", "X", "S") + STRUT_SYMBOLS[strut]
+
+
 def mock_octonion_table(bk: BoxKite, strut: str = "AF") -> LariatTable:
     """8 x 8 line table over one strut pair plus the 8-ball units.
 
     In the symbol sequence (R, 8, X, S, P, q, p, Q) the table is cell for
     cell the octonion table under symbol k -> e_k.
     """
-    if strut not in STRUT_SYMBOLS:
-        raise ValueError(f"strut must be one of {sorted(STRUT_SYMBOLS)}")
-    symbols = ("R", "8", "X", "S") + STRUT_SYMBOLS[strut]
+    symbols = _strut_symbols(strut)
     return LariatTable(bk.n, bk.s, symbols, _cells(_Lines(bk), symbols))
 
 
@@ -204,7 +208,7 @@ def is_octonion_isomorphic(table: LariatTable) -> bool:
 
 def yard_strut_subtable(yard: LariatTable, strut: str) -> LariatTable:
     """The 8 x 8 slice of a switching yard for one strut pair."""
-    symbols = ("R", "8", "X", "S") + STRUT_SYMBOLS[strut]
+    symbols = _strut_symbols(strut)
     idx = [YARD_SYMBOLS.index(sym) for sym in symbols]
     cells = tuple(tuple(yard.cells[i][j] for j in idx) for i in idx)
     return LariatTable(yard.n, yard.s, symbols, cells)
@@ -293,19 +297,11 @@ class TripSyncReport:
         return all(sail.passed for sail in self.sails)
 
 
-# Each sync-order sail, a getter for its vertices, and the orientations its
-# slot triples must show: a mixed triple is positive iff it keeps a low of A, B or C.
-_SYNC_SAILS = [
-    (name, itemgetter(*map(LETTERS.index, name)),
-     (1,) + tuple(1 if letter in "ABC" else -1 for letter in name))
-    for name in SYNC_SAIL_ORDER
-]
-
-
 def trip_sync_report(bk: BoxKite) -> TripSyncReport:
+    """The ``kites.SYNC_SAILS`` pattern checked on one kite, sail by sail."""
     sails = []
-    for name, vertices, expected in _SYNC_SAILS:
-        trips = slot_trips(vertices(bk.vertices))
+    for name, vertices, expected in SYNC_SAILS:
+        trips = slot_trips([v.indices for v in vertices(bk.vertices)])
         orientations = tuple(trip_orientation(*t) for t in trips)
         sails.append(SailSync(name, trips, orientations, expected))
     return TripSyncReport(bk.n, bk.s, tuple(sails))

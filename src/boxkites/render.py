@@ -60,9 +60,10 @@ _FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
 class RenderSpec:
     """A fully resolved emission request, checked against its target.
 
-    Every strut constant named must exist at dimension 2^n; the search
-    must not exceed the assessor pairs of the largest level searched whole;
-    and a field the target does not read must keep its default.
+    A target that reads n needs n >= 4; every strut constant named must
+    exist at dimension 2^n; the search must not exceed the assessor pairs of
+    the largest level searched whole; and a field the target does not read
+    must keep its default.
     """
 
     target: str
@@ -79,10 +80,15 @@ class RenderSpec:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         target = REGISTRY[self.target]
+        reads = target.params
+        if "n" in reads and self.n < 4:
+            raise ValueError(
+                f"zero-divisor structure starts at the sedenions: n must be at least 4 "
+                f"(dimension 16); got n = {self.n}"
+            )
         if self.format == "dot" and not target.dot:
             graphs = " or ".join(name for name, t in REGISTRY.items() if t.dot)
             raise ValueError(f"dot output renders zero-divisor graphs; use the {graphs} targets")
-        reads = target.params
         half = 1 << (self.n - 1)
         s_values = self.s_values if "s_values" in reads else ()
         if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):

@@ -289,6 +289,18 @@ class TestRenderSpec:
         with pytest.raises(ValueError, match="reads no"):
             RenderSpec(**spec)
 
+    @pytest.mark.parametrize("n", [3, 0, -1])
+    @pytest.mark.parametrize("target,fmt", [
+        ("census", "markdown"), ("pathion", "markdown"), ("tripsync", "json"),
+    ])
+    def test_dimension_below_sedenions_refused(self, target, fmt, n):
+        # refused by the request check itself, so not one chunk is written
+        chunks = []
+        message = rf"starts at the sedenions: n must be at least 4 \(dimension 16\); got n = {n}$"
+        with pytest.raises(ValueError, match=message):
+            chunks.extend(render.emit_chunks(RenderSpec(target, fmt, n=n)))
+        assert chunks == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -440,7 +440,8 @@ class TestZigzagRule:
                     a, b, c = sail.vertices
                     if trip_orientation(a.o, b.o, c.o) < 0:
                         a, c = c, a  # reversed, it is a rotation of the ASO order
-                    positive = min(trip_orientation(*t) for t in slot_trips((a, b, c))) > 0
+                    trips = slot_trips([v.indices for v in (a, b, c)])
+                    positive = min(trip_orientation(*t) for t in trips) > 0
                     assert (sail.kind == "zigzag") == positive, (s, kite, sail.name)
                     zigzag = zigzag or positive
                 if zigzag:  # the ABC sail is then a zigzag, and passes
@@ -462,19 +463,14 @@ class TestZigzagRule:
         # doctor them: each edge lies on one sail, and the faces, in the
         # labelling's order, take these signs on their edges (v0-v1, v1-v2, v2-v0)
         graph = zd_graph(4, 1)
-        (struts,) = emanation._kite_struts(graph)
-        faces = sorted(
-            aso_form(v.o for v in sail.vertices)
-            for sail in emanation._label_kite(graph, struts).sails
-        )
+        faces = sorted(aso_form(v.o for v in sail.vertices) for sail in find_box_kites(4, 1)[0].sails)
         signs = {}
         for lows, pattern in zip(faces, patterns):
             u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
                 signs[min(p, q), max(p, q)] = -1 if mark == "-" else 1
         doctored = ZDGraph(4, 1, graph.assessors, signs)
-        kite = emanation._label_kite(doctored, struts)
-        assert tuple(v.o for v in kite.vertices[:3]) == faces[chosen]
+        assert next(emanation._kite_lows(doctored))[:3] == faces[chosen]
 
 
 class TestPathionLift:
@@ -588,20 +584,11 @@ class TestSweep:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_fused_verdicts_match_trip_sync_report(self, n):
         # the sweep reads orientations from the sign table and builds no kite;
-        # the one-kite report on the labelled kite is the reference, per kite
-        # and in the order of (ABC lows, strut lows)
+        # the one-kite report on each kite of find_box_kites is the reference,
+        # per kite and in that order
         for s in range(1, 1 << (n - 1)):
-            graph = zd_graph(n, s)
-            labelled = sorted(
-                (
-                    (tuple(v.o for v in kite.vertices[:3]), struts, kite)
-                    for struts in emanation._kite_struts(graph)
-                    for kite in [emanation._label_kite(graph, struts)]
-                ),
-                key=lambda found: found[:2],
-            )
             expected = []
-            for *_, kite in labelled:
+            for kite in find_box_kites(n, s):
                 report = trip_sync_report(kite)
                 counterexamples = tuple(
                     trip for sail in report.sails for trip in sail.counterexamples()

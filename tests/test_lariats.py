@@ -172,6 +172,14 @@ class TestSwitchingYard:
                 assert yard_strut_subtable(yard, strut).cells == \
                     mock_octonion_table(bk, strut).cells
 
+    @pytest.mark.parametrize("strut", ["XY", "AB", "FA"])
+    def test_bad_strut_refused_alike_by_slice_and_mock(self, strut):
+        message = r"strut must be one of \['AF', 'BE', 'CD'\]"
+        with pytest.raises(ValueError, match=message):
+            yard_strut_subtable(switching_yard(bk1()), strut)
+        with pytest.raises(ValueError, match=message):
+            mock_octonion_table(bk1(), strut)
+
     def test_upper_left_quadrant_is_quaternion_table(self):
         yard = switching_yard(bk1())
         sub = tuple(row[:4] for row in yard.cell_strings()[:4])
