@@ -22,6 +22,7 @@ from .kites import (
     Assessor,
     BoxKite,
     assessors_for_strut,
+    check_level,
     edge_rule,
     slot_trips,
 )
@@ -42,20 +43,6 @@ class ZDGraph:
 
     def _assessor(self, o: int) -> Assessor:
         return self.assessors[o - 1 - (o > self.s)]  # ascending lows, s itself skipped
-
-    def sign(self, a1: Assessor, a2: Assessor) -> int | None:
-        if any(a.n != self.n or a.s != self.s for a in (a1, a2)):
-            return None  # another (n, s): never adjacent here
-        return self.signs.get((min(a1.o, a2.o), max(a1.o, a2.o)))
-
-    def edges(self) -> list[tuple[Assessor, Assessor, int]]:
-        node = self._assessor
-        return [(node(a), node(b), sign) for (a, b), sign in self.signs.items()]
-
-    def non_adjacent_pairs(self) -> list[tuple[Assessor, Assessor]]:
-        return [
-            (u, v) for u, v in combinations(self.assessors, 2) if (u.o, v.o) not in self.signs
-        ]
 
 
 def zd_graph(n: int, s: int) -> ZDGraph:
@@ -146,17 +133,15 @@ def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
         yield a, b, c, c ^ t, b ^ t, a ^ t
 
 
-# Each edge's key in ``BoxKite.edge_signs``, shared by every kite, and its ends' letter indices.
-_EDGES = tuple((frozenset(pair), *map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
+# The letter indices of each edge's ends, in the order of ``BoxKite.edge_signs``.
+_EDGES = tuple(tuple(map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
 
 
 def _label_kite(graph: ZDGraph, lows: tuple[int, ...]) -> BoxKite:
     """The box-kite whose letters A to F have these lows."""
-    signs = {}
-    for key, i, j in _EDGES:
-        u, v = sorted((lows[i], lows[j]))
-        signs[key] = graph.signs[u, v]
-    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, lows)), signs)
+    signs = graph.signs
+    edge_signs = tuple(signs[tuple(sorted((lows[i], lows[j])))] for i, j in _EDGES)
+    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, lows)), edge_signs)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -222,6 +207,7 @@ class SweepReport:
 def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
     """The strut constants a sweep visits: ``s_values`` sorted once each, or
     every s of level n."""
+    check_level(n)
     if s_values is None:
         s_values = range(1, 1 << (n - 1))
     return tuple(sorted(set(s_values)))
@@ -276,6 +262,7 @@ def census(n: int) -> CensusReport:
 
     Counts the strut triples the search meets; no kite is labelled or built.
     """
+    check_level(n)
     per_s = {
         s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in range(1, 1 << (n - 1))
     }

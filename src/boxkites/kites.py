@@ -41,10 +41,15 @@ BACKSLASH = -1
 
 LETTERS = ("A", "B", "C", "D", "E", "F")
 STRUT_LETTER_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
-# The twelve edges: every letter pair but the struts, in letter order.
+# The twelve edges: every letter pair but the struts, in letter order, which
+# is also the order of ``BoxKite.edge_signs``.
 EDGE_LETTER_PAIRS = tuple(
     pair for pair in combinations(LETTERS, 2) if pair not in STRUT_LETTER_PAIRS
 )
+# Each edge's position in ``BoxKite.edge_signs``, under both spellings.
+_EDGE_POSITION = {
+    pair: i for i, (p, q) in enumerate(EDGE_LETTER_PAIRS) for pair in ((p, q), (q, p))
+}
 # The four sails, in the order of ``BoxKite.sails`` and the GoTo tuple.
 SAIL_LETTERS = ("ABC", "ADE", "FDB", "FCE")
 # Order used by the trip-synchronization tabulation and the quizzical blocks.
@@ -123,10 +128,15 @@ class Diagonal:
         return f"{self.assessor}{'/' if self.orientation == SLASH else chr(92)}"
 
 
-def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
-    """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
+def check_level(n: int) -> None:
+    """Refuse a dimension exponent below the sedenions, which have no assessors."""
     if n < 4:
         raise ValueError("emanation structure starts at the sedenions (n >= 4)")
+
+
+def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
+    """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
+    check_level(n)
     half = 1 << (n - 1)
     if not (0 < s < half):
         raise ValueError(f"strut constant {s} out of range for n={n}")
@@ -210,7 +220,7 @@ class BoxKite:
     n: int
     s: int
     vertices: tuple[Assessor, Assessor, Assessor, Assessor, Assessor, Assessor]
-    edge_signs: dict
+    edge_signs: tuple[int, ...]  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
 
     @classmethod
     def assemble(cls, n: int, s: int, vertex_map: dict[str, Assessor]) -> "BoxKite":
@@ -221,12 +231,10 @@ class BoxKite:
         """
         if sorted(vertex_map) != sorted(LETTERS):
             raise ValueError(f"vertex map must cover letters {LETTERS}")
-        signs = {}
-        for p, q in EDGE_LETTER_PAIRS:
-            sign = edge_sign(vertex_map[p], vertex_map[q])
-            if sign is None:
-                raise ValueError(f"edge {p}-{q} carries no zero divisor")
-            signs[frozenset((p, q))] = sign
+        signs = tuple(edge_sign(vertex_map[p], vertex_map[q]) for p, q in EDGE_LETTER_PAIRS)
+        if None in signs:
+            p, q = EDGE_LETTER_PAIRS[signs.index(None)]
+            raise ValueError(f"edge {p}-{q} carries no zero divisor")
         for p, q in STRUT_LETTER_PAIRS:
             if edge_sign(vertex_map[p], vertex_map[q]) is not None:
                 raise ValueError(f"strut {p}-{q} carries a zero divisor")
@@ -236,7 +244,7 @@ class BoxKite:
         return self.vertices[LETTERS.index(letter)]
 
     def edge(self, p: str, q: str) -> int:
-        return self.edge_signs[frozenset((p, q))]
+        return self.edge_signs[_EDGE_POSITION[p, q]]
 
     @property
     def struts(self) -> tuple[tuple[Assessor, Assessor], ...]:

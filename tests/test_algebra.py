@@ -1,5 +1,6 @@
 """Basis products, exact multivectors, triples, and their laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,63 @@ class TestBladeMul:
         for a in range(16):
             for b in range(16):
                 assert blade_mul(a, b, 4).sign == blade_mul(a, b, 6).sign
+
+
+# A product written straight from the doubling formula in the algebra module
+# docstring, (p, q)(r, t) = (pr - conj(t) q, tp + q conj(r)), on sparse
+# {index: coefficient} dicts of level k.  It reads no sign rule of the package.
+
+def _halves(x, h):
+    return {i: c for i, c in x.items() if i < h}, {i - h: c for i, c in x.items() if i >= h}
+
+
+def _pair(p, q, h):
+    return {**p, **{i + h: c for i, c in q.items()}}
+
+
+def _combine(x, y, sign):
+    out = dict(x)
+    for i, c in y.items():
+        out[i] = out.get(i, 0) + sign * c
+    return {i: c for i, c in out.items() if c}
+
+
+def pair_conj(x, k):
+    """conj((p, q)) = (conj(p), -q); a real is its own conjugate."""
+    if k == 0 or not x:
+        return dict(x)
+    h = 1 << (k - 1)
+    p, q = _halves(x, h)
+    return _pair(pair_conj(p, k - 1), {i: -c for i, c in q.items()}, h)
+
+
+def pair_mul(x, y, k):
+    if not x or not y:  # an empty factor ends the recursion early
+        return {}
+    if k == 0:
+        return {0: x[0] * y[0]}
+    h = 1 << (k - 1)
+    (p, q), (r, t) = _halves(x, h), _halves(y, h)
+    low = _combine(pair_mul(p, r, k - 1), pair_mul(pair_conj(t, k - 1), q, k - 1), -1)
+    high = _combine(pair_mul(t, p, k - 1), pair_mul(q, pair_conj(r, k - 1), k - 1), 1)
+    return _pair(low, high, h)
+
+
+class TestNestedPairOracle:
+    def test_octonion_triples_positive(self):
+        for a, b, c in O_TRIPS:
+            assert pair_mul({a: 1}, {b: 1}, 3) == {c: 1}
+
+    def test_blade_sign_below_128(self):
+        for a in range(128):
+            for b in range(128):
+                assert pair_mul({a: 1}, {b: 1}, 7) == {a ^ b: blade_sign(a, b)}, (a, b)
+
+    def test_hc_mul_on_dense_elements_n5(self):
+        rng = random.Random(5)
+        for _ in range(4):
+            x, y = ({i: c for i in range(32) if (c := rng.randint(-3, 3))} for _ in range(2))
+            assert pair_mul(x, y, 5) == hc_mul(Hypercomplex(5, x), Hypercomplex(5, y)).coeffs
 
 
 class TestSignTable:

@@ -284,6 +284,8 @@ class TestRenderSpec:
         {"target": "box-kite", "strut": "CD"},
         {"target": "yard", "n": 5},
         {"target": "pathion", "n": 5, "failures_only": True},
+        {"target": "yard", "n": 0},
+        {"target": "yard", "n": -1},
     ])
     def test_unread_field_refused(self, spec):
         with pytest.raises(ValueError, match="reads no"):

@@ -46,7 +46,8 @@ def reference_search(n, s):
     adjacency = [0] * len(assessors)
     non_edges = []
     for i, j in combinations(range(len(assessors)), 2):
-        if graph.sign(assessors[i], assessors[j]) is None:
+        u, v = assessors[i].o, assessors[j].o
+        if (min(u, v), max(u, v)) not in graph.signs:
             non_edges.append((i, j))
         else:
             adjacency[i] |= 1 << j
@@ -175,31 +176,34 @@ class TestAssessorEnumeration:
             assessors_for_strut(16, 5)
 
 
+def non_adjacent_pairs(graph):
+    """Low pairs (a, b), a < b, of the graph's assessors that carry no edge."""
+    lows = [v.o for v in graph.assessors]
+    return [pair for pair in combinations(lows, 2) if pair not in graph.signs]
+
+
 class TestZDGraph:
     def test_sedenion_graph_is_octahedron(self):
         graph = zd_graph(4, 1)
         assert len(graph.assessors) == 6
-        assert len(graph.edges()) == 12
-        assert len(graph.non_adjacent_pairs()) == 3
+        assert len(graph.signs) == 12
+        assert len(non_adjacent_pairs(graph)) == 3
 
     def test_pathion_s1_graph(self):
         graph = zd_graph(5, 1)
         assert len(graph.assessors) == 14
         # complete minus the strut matching: every non-strut pair divides zero
-        assert len(graph.non_adjacent_pairs()) == 7
-        assert len(graph.edges()) == 14 * 13 // 2 - 7
+        assert len(non_adjacent_pairs(graph)) == 7
+        assert len(graph.signs) == 14 * 13 // 2 - 7
 
     def test_edge_signs_recorded(self):
         graph = zd_graph(4, 1)
-        for a1, a2, sign in graph.edges():
+        lows = [v.o for v in graph.assessors]
+        for (a, b), sign in graph.signs.items():
             assert sign in (-1, 1)
-            assert graph.sign(a1, a2) == graph.sign(a2, a1) == sign
-        # struts, and assessors of another (n, s), are never adjacent
-        for a1, a2 in graph.non_adjacent_pairs():
-            assert graph.sign(a1, a2) is None and graph.sign(a2, a1) is None
-        for foreign in zd_graph(4, 2).assessors + zd_graph(5, 1).assessors:
-            for a in graph.assessors:
-                assert graph.sign(a, foreign) is None and graph.sign(foreign, a) is None
+            assert a < b and a in lows and b in lows
+        # the pairs left out are the struts, whose lows XOR to s
+        assert all(a ^ b == graph.s for a, b in non_adjacent_pairs(graph))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_signs_match_edge_sign_on_every_pair(self, n):
@@ -285,13 +289,20 @@ class TestFindBoxKites:
             (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6),
         ]
 
+    def test_kites_are_hashable(self):
+        kites = find_box_kites(6, 25)
+        assert len(set(kites)) == len(kites) == 87
+        rebuilt = BoxKite.assemble(6, 25, dict(zip(LETTERS, kites[0].vertices)))
+        assert rebuilt == kites[0] and hash(rebuilt) == hash(kites[0])
+
     def test_every_found_kite_keeps_octahedral_invariants(self):
         for s in (1, 8, 9):
             graph = zd_graph(5, s)
             for kite in find_box_kites(5, s):
                 assert len(kite.edge_signs) == 12
                 for v1, v2 in kite.struts:
-                    assert edge_sign(v1, v2) is None and graph.sign(v1, v2) is None
+                    assert edge_sign(v1, v2) is None
+                    assert (min(v1.o, v2.o), max(v1.o, v2.o)) not in graph.signs
                 for sail in kite.sails:
                     lows = [v.o for v in sail.vertices]
                     assert lows[0] ^ lows[1] ^ lows[2] == 0
@@ -333,7 +344,9 @@ class TestFindBoxKites:
         raw, qualifying = [], []
         for six in combinations(graph.assessors, 2 * 3):
             non_adj = [
-                (u, v) for u, v in combinations(six, 2) if graph.sign(u, v) is None
+                (u, v)
+                for u, v in combinations(six, 2)
+                if (min(u.o, v.o), max(u.o, v.o)) not in graph.signs
             ]
             if len(non_adj) != 3:
                 continue
@@ -558,6 +571,17 @@ class TestCensus:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20, retained
+
+
+@pytest.mark.parametrize("n", [0, 3, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [census, trip_sync_sweep, lambda n: trip_sync_sweep(n, [])],
+    ids=["census", "trip_sync_sweep", "trip_sync_sweep-no-s"],
+)
+def test_level_below_sedenions_refused(entry, n):
+    with pytest.raises(ValueError, match=r"starts at the sedenions \(n >= 4\)$"):
+        entry(n)
 
 
 class TestSweep:

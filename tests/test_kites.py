@@ -204,7 +204,9 @@ class TestStrutTable:
         assert not set(EDGE_LETTER_PAIRS) & set(STRUT_LETTER_PAIRS)
         for s in range(1, 8):
             bk = build_box_kite(s)
-            assert list(bk.edge_signs) == [frozenset(pair) for pair in EDGE_LETTER_PAIRS]
+            assert bk.edge_signs == tuple(
+                edge_sign(bk.vertex(p), bk.vertex(q)) for p, q in EDGE_LETTER_PAIRS
+            )
 
 
 class TestSails:
@@ -277,10 +279,11 @@ class TestSails:
         wrong = Sail("ABC", abc.vertices, (1,) + abc.edge_signs[1:])
         with pytest.raises(AssertionError, match="is not zero"):
             sail_six_cycle(wrong, abc.vertices[0].slash)
-        signs = dict(bk.edge_signs)
-        signs[frozenset("BC")] = -signs[frozenset("BC")]
+        signs = list(bk.edge_signs)
+        bc = EDGE_LETTER_PAIRS.index(("B", "C"))
+        signs[bc] = -signs[bc]
         with pytest.raises(AssertionError, match="is not zero"):
-            tray_racks(BoxKite(bk.n, bk.s, bk.vertices, signs))
+            tray_racks(BoxKite(bk.n, bk.s, bk.vertices, tuple(signs)))
 
 
 class TestTrayRacks:
