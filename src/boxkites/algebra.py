@@ -216,7 +216,11 @@ def hc_mul(x: Hypercomplex, y: Hypercomplex) -> Hypercomplex:
         for j, cj in y.coeffs.items():
             index = i ^ j
             out[index] = out.get(index, 0) + ci * cj * blade_sign(i, j)
-    return Hypercomplex(x.dim_exponent, out)
+    # XORed indices stay in range and products stay exact: only zeros to drop
+    result = object.__new__(Hypercomplex)
+    object.__setattr__(result, "dim_exponent", x.dim_exponent)
+    object.__setattr__(result, "coeffs", {i: c for i, c in out.items() if c})
+    return result
 
 
 def trip_orientation(a: int, b: int, c: int) -> int:

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import TripIndices, aso_form, sign_table
+from .algebra import TripIndices, sign_table
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -99,8 +99,10 @@ def _kite_struts(graph: ZDGraph):
                     yield u1, v1, u2, v2, u3, v3
 
 
-def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
-    """The lows of A, B, C on the box-kite with these strut lows.
+def _faces(graph: ZDGraph, table, struts: tuple[int, ...]) -> list[tuple[bool, TripIndices]]:
+    """The four sails of the box-kite with these strut lows, as (trefoil,
+    lows in ASO order); the least is A, B, C.  Lows a < b < c are in ASO
+    order as (a, c, b) when byte b of the sign ``table``'s row a is 1.
 
     A, B, C take a zigzag sail, one whose three edges in the graph are all
     "-", its lows in ASO order (positive, smallest first); ties go to the
@@ -116,19 +118,22 @@ def _abc_lows(graph: ZDGraph, struts: tuple[int, ...]) -> TripIndices:
     """
     signs = graph.signs
     u1, v1, u2, v2 = struts[:4]
-    faces = []  # (trefoil, lows in ASO order): the least is the chosen sail
+    faces = []
     for x in (u1, v1):
         for y in (u2, v2):
             a, b, c = sorted((x, y, x ^ y))
-            faces.append((max(signs[a, b], signs[a, c], signs[b, c]) > 0, aso_form((a, b, c))))
-    return min(faces)[1]
+            trefoil = max(signs[a, b], signs[a, c], signs[b, c]) > 0
+            faces.append((trefoil, (a, c, b) if table[a][b] else (a, b, c)))
+    return faces
 
 
 def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
     """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows).
 
-    A, B, C are as ``_abc_lows`` says; F, E, D are their strut partners."""
-    for (a, b, c), struts in sorted((_abc_lows(graph, st), st) for st in _kite_struts(graph)):
+    A, B, C are as ``_faces`` says; F, E, D are their strut partners."""
+    table = sign_table(graph.n)
+    abc_struts = sorted((min(_faces(graph, table, st))[1], st) for st in _kite_struts(graph))
+    for (a, b, c), struts in abc_struts:
         t = struts[0] ^ struts[1]  # the struts' low XOR
         yield a, b, c, c ^ t, b ^ t, a ^ t
 
@@ -240,7 +245,9 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
     """Check the trip-synchronization pattern on every kite of every s.
 
     Makes no claim beyond the swept range; failures carry the offending
-    triples so they can be replayed.
+    triples so they can be replayed.  It returns every entry, about 210 MB
+    at n = 8; a caller that needs only the verdicts should fold over
+    ``sweep_entries`` for each s, as the CLI does.
     """
     s_values = sweep_range(n, s_values)
     entries = tuple(entry for s in s_values for entry in sweep_entries(n, s))

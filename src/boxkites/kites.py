@@ -16,7 +16,7 @@ A, B, C: the zigzag sail with the least low triple or, on a kite with none
 n).  At n = 4 every kite has one zigzag, the strut terminals, so
 ``build_box_kite`` names each kite as the search does.  With its lows in
 ASO order, a sail's four slot triples are all positively oriented exactly
-when it is a zigzag (proved at ``emanation._abc_lows``), so the edge
+when it is a zigzag (proved at ``emanation._faces``), so the edge
 signs alone decide.
 """
 
@@ -244,7 +244,12 @@ class BoxKite:
         return self.vertices[LETTERS.index(letter)]
 
     def edge(self, p: str, q: str) -> int:
-        return self.edge_signs[_EDGE_POSITION[p, q]]
+        """The sign of edge p-q, spelled either way; a strut carries none."""
+        position = _EDGE_POSITION.get((p, q))
+        if position is None:
+            what = "a strut" if {p, q} in map(set, STRUT_LETTER_PAIRS) else "not an edge"
+            raise ValueError(f"{p!r}-{q!r} is {what} of a box-kite")
+        return self.edge_signs[position]
 
     @property
     def struts(self) -> tuple[tuple[Assessor, Assessor], ...]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
-from .kites import SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, slot_trips
+from .kites import LETTERS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, slot_trips
 
 YARD_SYMBOLS = (
     "R", "8", "X", "S",
@@ -75,21 +75,34 @@ LariatResult.ZERO = LariatResult(0, None, 0)
 
 
 class _Lines:
-    """A box-kite's yard symbols as integer terms, and the way back.
+    """A box-kite's yard symbols as integer lines, and the way back.
 
-    ``terms`` holds each symbol representative as sorted (index, coeff)
-    pairs; ``lookup`` maps every signed representative to (sign, symbol),
-    the first symbol in YARD_SYMBOLS order winning, so collapsing a product
-    is one gcd and one dict lookup.
+    Each symbol representative is c e_k + d e_(k^X) with k < 2^(n-1), held in
+    ``lines`` as (k, c, d) from the kite's (o, hi) indices.  Such lines
+    multiply to such lines: e_k e_m and e_K e_M land on k ^ m, e_k e_M and
+    e_K e_m on k ^ m ^ X (K = k ^ X, M = m ^ X).  ``lookup`` maps the sorted
+    terms of every signed representative to (sign, symbol), the first in
+    YARD_SYMBOLS order winning; ``cells`` collapses each product once.
     """
 
     def __init__(self, bk: BoxKite) -> None:
         self.n = bk.n
-        self.terms = {sym: symbol_rep(bk, sym).terms() for sym in YARD_SYMBOLS}
+        self.x = (1 << (bk.n - 1)) + bk.s
+        self.lines = {"R": (0, 1, 0), "8": (bk.s, 0, 1), "X": (0, 0, 1), "S": (bk.s, 1, 0)}
+        for letter, v in zip(LETTERS, bk.vertices):
+            if v.hi != v.o ^ self.x:
+                raise ValueError(f"vertex {letter} = {v} does not carry X = {self.x}")
+            self.lines[letter], self.lines[letter.lower()] = (v.o, 1, 1), (v.o, 1, -1)
         self.lookup: dict[tuple[tuple[int, int], ...], tuple[int, str]] = {}
-        for sym, terms in self.terms.items():
-            self.lookup.setdefault(tuple(terms), (1, sym))
-            self.lookup.setdefault(tuple((i, -c) for i, c in terms), (-1, sym))
+        for sym in YARD_SYMBOLS:
+            k, c, d = self.lines[sym]
+            self.lookup.setdefault(self.terms(k, c, d), (1, sym))
+            self.lookup.setdefault(self.terms(k, -c, -d), (-1, sym))
+        self.cells: dict[tuple[int, int, int], LariatResult] = {}
+
+    def terms(self, k: int, c: int, d: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero (index, coeff) terms of c e_k + d e_(k^X), sorted."""
+        return tuple((i, a) for i, a in ((k, c), (k ^ self.x, d)) if a)
 
     def collapse(self, coeffs: dict[int, Scalar]) -> LariatResult:
         if not coeffs:
@@ -110,17 +123,21 @@ class _Lines:
     def product(self, *symbols: str) -> LariatResult:
         """Left-to-right product of yard lines, collapsed."""
         try:
-            factors = [self.terms[sym] for sym in symbols]
+            lines = [self.lines[sym] for sym in symbols]
         except KeyError as err:
             raise ValueError(f"unknown yard symbol {err.args[0]!r}") from None
-        coeffs = dict(factors[0])
-        for terms in factors[1:]:
-            out: dict[int, int] = {}
-            for i, ci in coeffs.items():
-                for j, cj in terms:
-                    out[i ^ j] = out.get(i ^ j, 0) + ci * cj * blade_sign(i, j)
-            coeffs = {i: c for i, c in out.items() if c}
-        return self.collapse(coeffs)
+        k, c, d = lines[0]
+        for m, e, f in lines[1:]:
+            big_k, big_m = k ^ self.x, m ^ self.x
+            k, c, d = (
+                k ^ m,
+                c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
+                c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m),
+            )
+        cell = self.cells.get((k, c, d))
+        if cell is None:
+            cell = self.cells[k, c, d] = self.collapse(dict(self.terms(k, c, d)))
+        return cell
 
 
 def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:

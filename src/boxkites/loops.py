@@ -3,8 +3,8 @@
 A unit loop here is the set {+-e_0} union {+-e_i : i in axes} for a set of
 axis indices closed under XOR.  Closure under the algebra product then comes
 for free, since a product of signed units is a signed unit on the XOR index.
-The identity checks multiply blades only to fill the loop's Cayley table of
-element positions; the exhaustive triple scans then read that table.
+The identity checks fill the loop's Cayley table of element positions from
+sign bits and index XORs; the exhaustive triple scans then read that table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .algebra import BasisBlade
+from .algebra import BasisBlade, blade_sign
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,14 @@ IDENTITY_FORMS: dict[str, TripleForm] = {
 
 
 def _cayley_table(loop: UnitLoop) -> CayleyTable:
-    """Positions of all pairwise products: one blade product per cell."""
-    position = {element: k for k, element in enumerate(loop.elements)}
+    """Positions of all pairwise products, from each element's sign bit and index."""
+    signed = [(x.sign < 0, x.index) for x in loop.elements]
+    position = {key: k for k, key in enumerate(signed)}
     try:
-        return [[position[x * y] for y in loop.elements] for x in loop.elements]
+        return [
+            [position[nx ^ ny ^ (blade_sign(i, j) < 0), i ^ j] for ny, j in signed]
+            for nx, i in signed
+        ]
     except KeyError:
         raise ValueError("loop elements are not closed under the product") from None
 
@@ -102,8 +106,18 @@ def _cayley_table(loop: UnitLoop) -> CayleyTable:
 def _scan(
     loop: UnitLoop, table: CayleyTable, name: str, form: TripleForm
 ) -> Optional[Counterexample]:
-    """First failing signed triple in (x, y, z) order, over every triple."""
-    positions = range(len(loop.elements))
+    """First failing signed triple in (x, y, z) order, over every triple.
+
+    Each form uses every variable equally often on both sides, and -1 is
+    central, so whether a triple fails, and where, depends on its indices
+    alone.  Putting the first element of its index, in ``loop.elements``
+    order, in each place of a failing triple gives one no later, so only
+    first elements are visited.
+    """
+    first: dict[int, int] = {}
+    for k, element in enumerate(loop.elements):
+        first.setdefault(element.index, k)
+    positions = list(first.values())
     for x, y, z in product(positions, repeat=3):
         for lhs, rhs in form(table, x, y, z):
             if lhs != rhs:
@@ -136,7 +150,7 @@ def is_quaternion_group(loop: UnitLoop) -> bool:
     """
     if len(loop) != 8 or check_identity(loop, "associative") is not None:
         return False
-    identity = BasisBlade(1, 0)
-    involutions = [x for x in loop.elements if x != identity and x * x == identity]
-    commutative = all(x * y == y * x for x in loop.elements for y in loop.elements)
+    table, e, one = _cayley_table(loop), loop.elements, BasisBlade(1, 0)
+    involutions = [x for x in range(8) if e[x] != one and e[table[x][x]] == one]
+    commutative = all(table[x][y] == table[y][x] for x in range(8) for y in range(8))
     return len(involutions) == 1 and not commutative

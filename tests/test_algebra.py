@@ -208,6 +208,29 @@ class TestHypercomplex:
         assert hc_mul(x + y, z) == hc_mul(x, z) + hc_mul(y, z)
         assert hc_mul(x, y + z) == hc_mul(x, y) + hc_mul(x, z)
 
+    @given(
+        st.dictionaries(
+            st.integers(0, 15),
+            st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3),
+            max_size=4,
+        ),
+        st.dictionaries(st.integers(0, 15), st.integers(-3, 3), max_size=4),
+    )
+    @settings(max_examples=60)
+    def test_product_equals_validated_construction(self, cx, cy):
+        # hc_mul skips the constructor's checks on its own result, so the
+        # result must still be the canonical element the constructor builds
+        x, y = Hypercomplex(4, cx), Hypercomplex(4, cy)
+        raw = {}
+        for i, ci in x.coeffs.items():
+            for j, cj in y.coeffs.items():
+                raw[i ^ j] = raw.get(i ^ j, 0) + ci * cj * blade_sign(i, j)
+        assert hc_mul(x, y) == Hypercomplex(4, raw)
+
+    def test_product_drops_cancelled_terms(self):
+        x = Hypercomplex(4, {1: 1, 2: 1})  # e1 e2 + e2 e1 cancels on e3
+        assert hc_mul(x, x).coeffs == {0: -2}
+
     def test_scalar_multiplication(self):
         x = Hypercomplex(4, {3: 1, 10: 1})
         assert 2 * x == Hypercomplex(4, {3: 2, 10: 2})

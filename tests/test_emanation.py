@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from boxkites import emanation
-from boxkites.algebra import aso_form, trip_orientation
+from boxkites.algebra import aso_form, sign_table, trip_orientation
 from boxkites.emanation import (
     ZDGraph,
     census,
@@ -461,6 +461,17 @@ class TestZigzagRule:
                     assert trip_sync_report(kite).sails[0].passed, (s, kite)
                 if n == 7:  # test_matches_reference_search_in_order checks n = 5, 6
                     assert kite == reference_label(n, s, kite.struts), (s, kite)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_face_order_from_the_sign_table_is_aso_form(self, n):
+        table = sign_table(n)
+        for s in range(1, 1 << (n - 1)):
+            graph = zd_graph(n, s)
+            for struts in emanation._kite_struts(graph):
+                faces = emanation._faces(graph, table, struts)
+                assert len(faces) == 4
+                for _, lows in faces:
+                    assert lows == aso_form(lows), (s, struts)
 
     def test_zigzag_sails_per_kite_at_n6_s25(self):
         # whatever the spelling, a sail with three "-" edges is a zigzag

@@ -226,6 +226,15 @@ class TestSails:
         with pytest.raises(ValueError):
             bk1().sail(name)
 
+    @pytest.mark.parametrize(
+        ("p", "q", "message"),
+        [("A", "F", "is a strut"), ("F", "A", "is a strut"), ("E", "B", "is a strut"),
+         ("A", "G", "is not an edge"), ("A", "A", "is not an edge"), ("a", "b", "is not an edge")],
+    )
+    def test_edge_refuses_struts_and_non_letters(self, p, q, message):
+        with pytest.raises(ValueError, match=f"'{p}'-'{q}' {message} of a box-kite"):
+            bk1().edge(p, q)
+
     def test_abc_is_zigzag(self):
         sails = {s.name: s for s in bk1().sails}
         assert sails["ABC"].kind == "zigzag"

@@ -13,9 +13,10 @@ from boxkites.fixtures import (
     SYNC_TABLE,
 )
 from boxkites.emanation import find_box_kites
-from boxkites.kites import build_box_kite
+from boxkites.kites import Assessor, BoxKite, build_box_kite
 from boxkites.lariats import (
     YARD_SYMBOLS,
+    _Lines,
     LariatResult,
     NonCollapsibleError,
     collapse,
@@ -346,3 +347,22 @@ class TestIntegerKernelAgainstOracle:
             holds = all(expected[i][i] == LariatResult(-1, "R", 2) for i in range(3))
             holds = holds and (triple.sign, triple.symbol) == (-1, "R")
             assert lariat.relations_hold == holds, symbols
+
+
+@pytest.mark.parametrize(
+    ("label", "bk"), ORACLE_KITES, ids=[label for label, _ in ORACLE_KITES]
+)
+def test_integer_lines_are_the_symbol_reps(label, bk):
+    # the product kernel reads each line from the kite's (o, hi) integers
+    lines = _Lines(bk)
+    for sym in YARD_SYMBOLS:
+        assert list(lines.terms(*lines.lines[sym])) == symbol_rep(bk, sym).terms(), sym
+
+
+def test_kite_off_its_x_refused():
+    kite = bk1()
+    stray = Assessor(4, kite.vertices[0].o, kite.vertices[0].o ^ 10)  # X = 10, not 9
+    hand_built = BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
+    for table in (switching_yard, quizzical_tables, mock_octonion_table):
+        with pytest.raises(ValueError, match="vertex A = \\(3,9\\) does not carry X = 9"):
+            table(hand_built)
