@@ -12,57 +12,61 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, emit_chunks, json_text
+from .render import FORMATS, MAX_WHOLE_LEVEL_N, TARGETS, RenderSpec, emit_chunks, json_text
 from .verify import SECTIONS, run_verification
 
 
-def _dim_exponent(parser: argparse.ArgumentParser, dim: int) -> int:
+def _dim_exponent(text: str) -> int:
+    """``--dim`` = 2^n as its exponent n; ``RenderSpec`` judges the level."""
+    dim = int(text) if text.isdecimal() else 0
     n = dim.bit_length() - 1
-    if dim <= 0 or 1 << n != dim or n < 4:
-        parser.error(f"--dim must be a power of two, at least 16; got {dim}")
+    if dim <= 0 or 1 << n != dim:
+        raise argparse.ArgumentTypeError(f"must be a power of two; got {text}")
     return n
 
 
-def _parse_s_range(parser: argparse.ArgumentParser, text: str, n: int) -> tuple[int, ...]:
+def _s_range(text: str) -> tuple[int, ...]:
     """The strut constants ``text`` names, each piece cut to its first
-    2^(min(n, MAX_WHOLE_LEVEL_N) - 1) values.  ``RenderSpec`` refuses what the
-    cut keeps of a longer piece: a value out of range up to that level, and
-    too many values to search above it."""
-    cut = 1 << (min(n, MAX_WHOLE_LEVEL_N) - 1)
-    values: set[int] = set()
+    2^(MAX_WHOLE_LEVEL_N - 1) values.  ``RenderSpec`` refuses what the cut
+    keeps of a longer piece: a value out of range at a level searched whole,
+    and too many values to search above it."""
+    cut = 1 << (MAX_WHOLE_LEVEL_N - 1)
+    values: list[int] = []
     try:
         for piece in text.split(","):
             if "-" in piece:
                 lo, hi = map(int, piece.split("-"))
-                values.update(range(lo, min(hi + 1, lo + cut)))
+                values.extend(range(lo, min(hi + 1, lo + cut)))
             else:
-                values.add(int(piece))
+                values.append(int(piece))
     except ValueError:
-        parser.error(f"bad --s-range {text!r}; use forms like 1-8,17")
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; use forms like 1-8,17") from None
     if not values:
-        parser.error(f"--s-range {text!r} selects no strut constant")
-    return tuple(sorted(values))
+        raise argparse.ArgumentTypeError(f"{text!r} selects no strut constant")
+    return tuple(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; an emit flag not given is absent, so ``RenderSpec``'s
+    default applies, and each one sets the request field its dest names."""
     parser = argparse.ArgumentParser(
         prog="boxkites",
         description="Exact zero-divisor structure of Cayley-Dickson algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    emit = sub.add_parser("emit", help="render a structure")
+    emit = sub.add_parser("emit", help="render a structure", argument_default=argparse.SUPPRESS)
     emit.add_argument("target", choices=TARGETS)
-    emit.add_argument("--dim", type=int, default=None,
+    emit.add_argument("--dim", dest="n", type=_dim_exponent,
                       help="algebra dimension (a power of two, default 16; 32 for pathion)")
-    emit.add_argument("--strut", type=int, default=1, help="strut constant s (default 1)")
-    emit.add_argument("--strut-pair", choices=("AF", "BE", "CD"), default="AF",
-                      help="strut pair for mock tables")
-    emit.add_argument("--s-range", default=None,
+    emit.add_argument("--strut", dest="s", type=int, help="strut constant s (default 1)")
+    emit.add_argument("--strut-pair", dest="strut", choices=("AF", "BE", "CD"),
+                      help="strut pair for mock tables (default AF)")
+    emit.add_argument("--s-range", dest="s_values", type=_s_range,
                       help="strut constants for tripsync, e.g. 1-8,17")
     emit.add_argument("--failures-only", action="store_true",
                       help="tripsync: list only the failing kites")
-    emit.add_argument("--format", choices=FORMATS, default="markdown")
+    emit.add_argument("--format", choices=FORMATS, help="output format (default markdown)")
     emit.add_argument("--out", default=None, help="output path (default stdout)")
 
     verify = sub.add_parser("verify", help="run the golden-fixture suite")
@@ -104,19 +108,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "emit":
-        default_dim = REGISTRY[args.target].default_dim
-        n = _dim_exponent(parser, args.dim if args.dim is not None else default_dim)
-        s_values = _parse_s_range(parser, args.s_range, n) if args.s_range is not None else ()
+        request = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
         try:
-            spec = RenderSpec(
-                target=args.target,
-                format=args.format,
-                n=n,
-                s=args.strut,
-                strut=args.strut_pair,
-                s_values=s_values,
-                failures_only=args.failures_only,
-            )
+            spec = RenderSpec(**request)
             _check_out(parser, args.out)
             chunks = emit_chunks(spec)
         except ValueError as exc:
@@ -124,7 +118,8 @@ def main(argv=None) -> int:
         _write(parser, chunks, args.out)
         return 0
 
-    sections = args.sections.split(",") if args.sections else None
+    # an empty list names the unknown section ""; a name given twice runs once
+    sections = list(dict.fromkeys(args.sections.split(","))) if args.sections is not None else None
     _check_out(parser, args.out)
     try:
         report = run_verification(sections)

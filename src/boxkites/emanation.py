@@ -21,6 +21,7 @@ from .kites import (
     SYNC_SAILS,
     Assessor,
     BoxKite,
+    assessor_lows,
     assessors_for_strut,
     check_level,
     edge_rule,
@@ -33,16 +34,17 @@ class ZDGraph:
     """Zero-divisor adjacency over the assessors of (n, s), with edge signs.
 
     Within one (n, s) an assessor is fixed by its low index, so ``signs`` is
-    keyed by low pairs (a, b), a < b.  The low s is never a vertex.
+    keyed by pairs a < b of the lows ``kites.assessor_lows`` gives, never s.
     """
 
     n: int
     s: int
-    assessors: tuple[Assessor, ...]
     signs: dict[tuple[int, int], int]
 
-    def _assessor(self, o: int) -> Assessor:
-        return self.assessors[o - 1 - (o > self.s)]  # ascending lows, s itself skipped
+    @property
+    def assessors(self) -> tuple[Assessor, ...]:
+        """The vertices as assessors, ascending by low; built on each request."""
+        return tuple(assessors_for_strut(self.s, self.n))
 
 
 def zd_graph(n: int, s: int) -> ZDGraph:
@@ -51,9 +53,9 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     Its C(2^(n-1) - 2, 2) pair tests, about 4^n / 8 of four lookups each,
     are work of the order of the table's 4^n bytes.
     """
-    assessors = tuple(assessors_for_strut(s, n))
     table = sign_table(n)
-    ends = [v.indices for v in assessors]
+    x = (1 << (n - 1)) + s
+    ends = [(o, o ^ x) for o in assessor_lows(s, n)]
     signs = {}
     for i, (a, big_a) in enumerate(ends):
         row, big_row = table[a], table[big_a]
@@ -61,7 +63,7 @@ def zd_graph(n: int, s: int) -> ZDGraph:
             sign = edge_rule(row[b], big_row[big_b], row[big_b], big_row[b])
             if sign is not None:
                 signs[a, b] = sign
-    return ZDGraph(n, s, assessors, signs)
+    return ZDGraph(n, s, signs)
 
 
 def _kite_struts(graph: ZDGraph):
@@ -79,7 +81,7 @@ def _kite_struts(graph: ZDGraph):
     signs = graph.signs
     adjacency = [0] * (1 << (graph.n - 1))  # bit b of adjacency[a]: a-b is an edge
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations([v.o for v in graph.assessors], 2):
+    for a, b in combinations(assessor_lows(graph.s, graph.n), 2):
         if (a, b) in signs:
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
@@ -142,11 +144,19 @@ def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
 _EDGES = tuple(tuple(map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
 
 
-def _label_kite(graph: ZDGraph, lows: tuple[int, ...]) -> BoxKite:
-    """The box-kite whose letters A to F have these lows."""
+def _label_kite(graph: ZDGraph, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
+    """The box-kite whose letters A to F have these lows, by ``vertex``'s assessors."""
     signs = graph.signs
     edge_signs = tuple(signs[tuple(sorted((lows[i], lows[j])))] for i, j in _EDGES)
-    return BoxKite(graph.n, graph.s, tuple(map(graph._assessor, lows)), edge_signs)
+    return BoxKite(graph.n, graph.s, tuple(map(vertex.__getitem__, lows)), edge_signs)
+
+
+def _box_kites(n: int, s: int) -> Iterator[BoxKite]:
+    """The box-kites of ``find_box_kites``, each built as it is read."""
+    graph = zd_graph(n, s)
+    vertex = {v.o: v for v in graph.assessors}
+    for lows in _kite_lows(graph):
+        yield _label_kite(graph, lows, vertex)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -168,8 +178,7 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
     only that candidate and so meets box-kites only, each once.  Ordered by
     the low-index triple of the A, B, C sail, then by strut lows.
     """
-    graph = zd_graph(n, s)
-    return [_label_kite(graph, lows) for lows in _kite_lows(graph)]
+    return list(_box_kites(n, s))
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:
@@ -269,8 +278,5 @@ def census(n: int) -> CensusReport:
 
     Counts the strut triples the search meets; no kite is labelled or built.
     """
-    check_level(n)
-    per_s = {
-        s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in range(1, 1 << (n - 1))
-    }
+    per_s = {s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in sweep_range(n)}
     return CensusReport(n, per_s)

@@ -134,14 +134,20 @@ def check_level(n: int) -> None:
         raise ValueError("emanation structure starts at the sedenions (n >= 4)")
 
 
-def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
-    """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
+def assessor_lows(s: int, n: int = 4) -> list[int]:
+    """The lows of the assessors of (n, s), ascending: every 0 < o < 2^(n-1) but s."""
     check_level(n)
     half = 1 << (n - 1)
     if not (0 < s < half):
         raise ValueError(f"strut constant {s} out of range for n={n}")
-    x = half + s
-    return [Assessor(n, o, o ^ x) for o in range(1, half) if o != s]
+    return [o for o in range(1, half) if o != s]
+
+
+def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
+    """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
+    lows = assessor_lows(s, n)
+    x = (1 << (n - 1)) + s
+    return [Assessor(n, o, o ^ x) for o in lows]
 
 
 def is_zero_divisor_pair(d1: Diagonal, d2: Diagonal) -> bool:
@@ -286,14 +292,9 @@ def build_box_kite(s: int) -> BoxKite:
     """
     assessors = {a.o: a for a in assessors_for_strut(s)}
     pairs = sorted({tuple(sorted((o, o ^ s))) for o in assessors})
-    terminals = []
-    for x, y in pairs:
-        terminals.append(y if trip_orientation(s, x, y) > 0 else x)
-    abc = aso_form(terminals)
-    vertex_map = {letter: assessors[o] for letter, o in zip("ABC", abc)}
-    for letter, o in zip("FED", abc):
-        vertex_map[letter] = assessors[o ^ s]
-    return BoxKite.assemble(4, s, vertex_map)
+    abc = aso_form([y if trip_orientation(s, x, y) > 0 else x for x, y in pairs])
+    lows = zip("ABCFED", abc + tuple(o ^ s for o in abc))
+    return BoxKite.assemble(4, s, {letter: assessors[o] for letter, o in lows})
 
 
 def _zero_product_walk(vertices, signs, start: Diagonal, steps: int) -> list[Diagonal]:
@@ -374,17 +375,10 @@ def trigram_code(bk: BoxKite, switched: bool = False) -> dict[str, str]:
     The unswitched state reads the zero-division edge signs; the switched
     state complements every bit.
     """
-    codes = {}
-    for name in TRIGRAM_SAIL_ORDER:
-        sail = bk.sail(name)
-        bits = ""
-        for sign in sail.edge_signs:
-            bit = "0" if sign < 0 else "1"
-            if switched:
-                bit = "1" if bit == "0" else "0"
-            bits += bit
-        codes[name] = bits
-    return codes
+    return {
+        name: "".join("1" if (sign > 0) != switched else "0" for sign in bk.sail(name).edge_signs)
+        for name in TRIGRAM_SAIL_ORDER
+    }
 
 
 def _octonion_triple(otrip) -> TripIndices:

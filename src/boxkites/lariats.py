@@ -20,14 +20,10 @@ from math import gcd, lcm
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
 from .kites import LETTERS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, slot_trips
 
-YARD_SYMBOLS = (
-    "R", "8", "X", "S",
-    "F", "a", "f", "A",
-    "E", "b", "e", "B",
-    "D", "c", "d", "C",
-)
-
 STRUT_SYMBOLS = {"AF": ("F", "a", "f", "A"), "BE": ("E", "b", "e", "B"), "CD": ("D", "c", "d", "C")}
+
+# The four units, then each strut's diagonals.
+YARD_SYMBOLS = ("R", "8", "X", "S") + sum(STRUT_SYMBOLS.values(), ())
 
 
 class NonCollapsibleError(ArithmeticError):
@@ -196,7 +192,7 @@ def _strut_symbols(strut: str) -> tuple[str, ...]:
     """The symbol sequence (R, 8, X, S, P, q, p, Q) of one strut pair."""
     if strut not in STRUT_SYMBOLS:
         raise ValueError(f"strut must be one of {sorted(STRUT_SYMBOLS)}")
-    return ("R", "8", "X", "S") + STRUT_SYMBOLS[strut]
+    return YARD_SYMBOLS[:4] + STRUT_SYMBOLS[strut]
 
 
 def mock_octonion_table(bk: BoxKite, strut: str = "AF") -> LariatTable:

@@ -22,7 +22,10 @@ from itertools import chain
 from math import comb
 from typing import Callable
 
-from .emanation import CensusReport, SweepEntry, census, find_box_kites, sweep_entries, sweep_range, zd_graph
+from .emanation import (
+    CensusReport, SweepEntry, _box_kites, census, find_box_kites, sweep_entries, sweep_range, zd_graph,
+)
+from .fixtures import PATHION_CENSUS_CLAIMS
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -60,15 +63,16 @@ _FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
 class RenderSpec:
     """A fully resolved emission request, checked against its target.
 
-    A target that reads n needs n >= 4; every strut constant named must
-    exist at dimension 2^n, or at 16 for a target that reads no n; the
-    search must not exceed the assessor pairs of the largest level searched
-    whole; and a field the target does not read must keep its default.
+    n defaults to the target's ``default_dim`` level.  A target that reads n
+    needs n >= 4; every strut constant named must exist at dimension 2^n;
+    the search must not exceed the assessor pairs of the largest level
+    searched whole; and a field the target does not read must keep its
+    default.  Tripsync's s values are kept sorted and distinct, or every s.
     """
 
     target: str
     format: str = "markdown"
-    n: int = 4
+    n: int | None = None
     s: int = 1
     strut: str = "AF"
     s_values: tuple[int, ...] = ()
@@ -81,6 +85,8 @@ class RenderSpec:
             raise ValueError(f"unknown format {self.format!r}")
         target = REGISTRY[self.target]
         reads = target.params
+        level = target.default_dim.bit_length() - 1
+        object.__setattr__(self, "n", level if self.n is None else self.n)
         if "n" in reads and self.n < 4:
             raise ValueError(
                 f"zero-divisor structure starts at the sedenions: n must be at least 4 "
@@ -89,13 +95,13 @@ class RenderSpec:
         if self.format == "dot" and not target.dot:
             graphs = " or ".join(name for name, t in REGISTRY.items() if t.dot)
             raise ValueError(f"dot output renders zero-divisor graphs; use the {graphs} targets")
-        half = 1 << ((self.n if "n" in reads else 4) - 1)
-        s_values = self.s_values if "s_values" in reads else ()
+        half = 1 << ((self.n if "n" in reads else level) - 1)
+        s_values = sweep_range(self.n, self.s_values) if "s_values" in reads else ()
         if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):
             raise ValueError(
                 f"strut constants at dimension {2 * half} lie strictly between 0 and {half}"
             )
-        searched = 1 if "s" in reads else len(s_values) or half - 1
+        searched = 1 if "s" in reads else len(s_values) or half - 1  # none named: every s
         if "n" in reads and searched * comb(half - 2, 2) > MAX_PAIRS:
             raise ValueError(
                 f"target {self.target!r} would search {searched} strut constant(s) x "
@@ -104,12 +110,15 @@ class RenderSpec:
             )
         for field in fields(self):
             name = field.name
-            if name in _FLAGS and name not in reads and getattr(self, name) != field.default:
+            default = level if name == "n" else field.default
+            if name in _FLAGS and name not in reads and getattr(self, name) != default:
                 readers = [key for key, t in REGISTRY.items() if name in t.params]
                 raise ValueError(
                     f"target {self.target!r} reads no {_FLAGS[name]} values; only the "
                     f"{' or '.join(readers)} target{'s take' if len(readers) > 1 else ' takes'} them"
                 )
+        if "s_values" in reads:
+            object.__setattr__(self, "s_values", s_values or sweep_range(self.n))
 
 
 def markdown_table(headers, rows) -> Iterator[str]:
@@ -130,6 +139,9 @@ def csv_table(headers, rows) -> Iterator[str]:
         yield buffer.getvalue()
         buffer.seek(0)
         buffer.truncate()
+
+
+_TABLES = {"markdown": markdown_table, "csv": csv_table}
 
 
 def json_text(payload) -> str:
@@ -228,12 +240,14 @@ def census_payload(report: CensusReport) -> dict:
         "total": report.total,
     }
     if report.n == 5:
-        low = sum(count for s, count in report.per_s.items() if s <= 8)
-        high = sum(count for s, count in report.per_s.items() if s > 8)
+        claims = PATHION_CENSUS_CLAIMS
+        low = [count for s, count in report.per_s.items() if s <= 8]
+        high = [count for s, count in report.per_s.items() if s > 8]
         payload["notes"] = [
-            f"enumerated: {low} kites for s <= 8 plus {high} for s > 8 = {report.total}",
-            f"stated grand total 84 vs componentwise arithmetic 8*7 + 7*3 = 77; "
-            f"enumeration agrees with {report.total}",
+            f"enumerated: {sum(low)} kites for s <= 8 plus {sum(high)} for s > 8 = {report.total}",
+            f"stated grand total {claims['stated_total']} vs componentwise arithmetic "
+            f"{len(low)}*{claims['per_s_low']} + {len(high)}*{claims['per_s_high']} = "
+            f"{claims['arithmetic_total']}; enumeration agrees with {report.total}",
         ]
     return payload
 
@@ -241,22 +255,19 @@ def census_payload(report: CensusReport) -> dict:
 def dot_zd_graph(n: int, s: int) -> str:
     """DOT text for the zero-divisor graph; vertices named o_hi."""
     graph = zd_graph(n, s)
-    x = (1 << (n - 1)) + s
-    lines = [f'graph zd_{n}_{s} {{']
-    for assessor in graph.assessors:
-        lines.append(f'  "{assessor.o}_{assessor.hi}";')
+    vertex = {v.o: f'"{v.o}_{v.hi}"' for v in graph.assessors}
+    lines = [f'graph zd_{n}_{s} {{', *(f"  {name};" for name in vertex.values())]
     for (a, b), sign in graph.signs.items():
-        mark = "+" if sign > 0 else "-"
-        lines.append(f'  "{a}_{a ^ x}" -- "{b}_{b ^ x}" [sign="{mark}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f'  {vertex[a]} -- {vertex[b]} [sign="{"+" if sign > 0 else "-"}"];')
+    return "\n".join(lines) + "\n}\n"
 
 
 def _kite(spec: RenderSpec) -> BoxKite:
-    kites = find_box_kites(spec.n, spec.s)
-    if not kites:
+    """The first box-kite of ``find_box_kites``, built alone."""
+    kite = next(_box_kites(spec.n, spec.s), None)
+    if kite is None:
         raise ValueError(f"no box-kite found for n={spec.n}, s={spec.s}")
-    return kites[0]
+    return kite
 
 
 # ------------------------------------------------------------- text blocks
@@ -327,12 +338,11 @@ def _kite_json(entry: SweepEntry) -> str:
 
 def _sweep_text(spec: RenderSpec) -> Iterator[str]:
     """The tripsync text in chunks, each written as soon as its kite is found."""
-    s_values = sweep_range(spec.n, spec.s_values or None)
     count, all_passed = 0, True
 
     def shown() -> Iterator[SweepEntry]:
         nonlocal count, all_passed
-        for s in s_values:
+        for s in spec.s_values:
             for entry in sweep_entries(spec.n, s):
                 count += 1
                 all_passed = all_passed and entry.passed
@@ -340,7 +350,7 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
                     yield entry
 
     if spec.format == "json":
-        yield f'{{\n  "n": {spec.n},\n  "s_values": {_json_list(s_values, "  ")},\n  "kites": ['
+        yield f'{{\n  "n": {spec.n},\n  "s_values": {_json_list(spec.s_values, "  ")},\n  "kites": ['
         separator = "\n"
         for entry in shown():
             yield separator + _kite_json(entry)
@@ -351,7 +361,6 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
             tail += f',\n  "kite_count": {count}'
         yield tail + "\n}\n"
         return
-    table = markdown_table if spec.format == "markdown" else csv_table
     rows = (
         [
             entry.s,
@@ -361,7 +370,7 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
         ]
         for entry in shown()
     )
-    yield from table(["s", "ABC", "trip-sync", "counterexamples"], rows)
+    yield from _TABLES[spec.format](["s", "ABC", "trip-sync", "counterexamples"], rows)
     yield f"overall: {'pass' if all_passed else 'FAIL'} over {count} kites\n"
 
 
@@ -387,9 +396,8 @@ def _tabulated(payload: Callable[[RenderSpec], dict], blocks: Callable[[dict], l
         data = payload(spec)
         if spec.format == "json":
             return [json_text(data)]
-        table = markdown_table if spec.format == "markdown" else csv_table
         return [
-            block + "\n" if isinstance(block, str) else "".join(table(*block))
+            block + "\n" if isinstance(block, str) else "".join(_TABLES[spec.format](*block))
             for block in blocks(data)
         ]
 

@@ -210,6 +210,10 @@ class TestEmit:
         ["tripsync", "--dim", "32", "--strut", "9"],
         ["census", "--dim", "32", "--strut", "5"],
         ["yard", "--strut-pair", "BE"],
+        ["census", "--dim", "8"],
+        ["yard", "--dim", "8"],
+        ["tripsync", "--dim", "1", "--s-range", "1"],
+        ["tripsync", "--dim", "1"],
     ])
     def test_refused_before_any_search(self, argv, capsys, monkeypatch):
         def no_search(n, s):
@@ -252,6 +256,23 @@ class TestEmit:
         assert message in err
         assert peak_kb < 64 * 1024  # ru_maxrss is in kilobytes on Linux
 
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_request_without_flags_is_the_command_without_flags(self, target, capsys):
+        code, out = emit(capsys, target)
+        assert (code, out) == (0, cmd_emit(RenderSpec(target)))
+
+    def test_box_kite_builds_only_the_first_kite(self, monkeypatch):
+        first = emanation.find_box_kites(6, 5)[0]
+        labelled = []
+
+        def counted(graph, lows, vertex, label=emanation._label_kite):
+            labelled.append(lows)
+            return label(graph, lows, vertex)
+
+        monkeypatch.setattr(emanation, "_label_kite", counted)
+        assert cmd_emit(RenderSpec("box-kite", "json", n=6, s=5)) == json_text(box_kite_payload(first))
+        assert len(labelled) == 1
+
     def test_sedenion_box_kite_is_the_constructed_one(self):
         for s in range(1, 8):
             spec = RenderSpec("box-kite", "json", s=s)
@@ -273,6 +294,21 @@ class TestRenderSpec:
     def test_search_past_the_bound_refused(self, spec):
         with pytest.raises(ValueError, match="largest dimension searched whole is 256"):
             RenderSpec(**spec)
+
+    def test_default_level_is_the_targets(self):
+        assert {t: RenderSpec(t).n for t in TARGETS} == {
+            t: render.REGISTRY[t].default_dim.bit_length() - 1 for t in TARGETS
+        }
+        assert RenderSpec("pathion").n == 5 and RenderSpec("census").n == 4
+
+    def test_pair_bound_counts_distinct_strut_constants(self):
+        assert RenderSpec("tripsync", n=9, s_values=(1,) * 40).s_values == (1,)
+
+    def test_strut_constants_sorted_and_distinct(self):
+        spec = RenderSpec("tripsync", n=6, s_values=(3, 1, 3))
+        assert spec.s_values == (1, 3)
+        assert cmd_emit(spec) == cmd_emit(RenderSpec("tripsync", n=6, s_values=(1, 3)))
+        assert RenderSpec("tripsync", n=5).s_values == tuple(range(1, 16))
 
     def test_defaults(self):
         assert RenderSpec("box-kite").s == 1
@@ -468,6 +504,20 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert all(check["section"] == "fabric" for check in payload["checks"])
+
+    def test_empty_section_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--sections", ""])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_repeated_section_runs_once_in_given_order(self, capsys):
+        code = main(["verify", "--sections", "census,trips,census", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["sections"] == ["census", "trips"]
+        once = run_verification(["census", "trips"]).to_payload()
+        assert payload == once
 
     def test_unknown_section_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

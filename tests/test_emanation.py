@@ -391,7 +391,7 @@ class TestFindBoxKites:
                 sign = None if sign else 1
             if sign:
                 signs[pair] = sign
-        doctored = ZDGraph(n, s, graph.assessors, signs)
+        doctored = ZDGraph(n, s, signs)
         assert list(emanation._kite_struts(doctored)) == bucket_scan(doctored)
 
     @pytest.mark.parametrize("s", [2, 7, 14])
@@ -406,7 +406,7 @@ class TestFindBoxKites:
                 for a, b in combinations([v.o for v in assessors], 2)
                 if a ^ b != t
             }
-            graph = ZDGraph(5, s, assessors, signs)
+            graph = ZDGraph(5, s, signs)
             assert list(emanation._kite_struts(graph)) == bucket_scan(graph), t
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -493,7 +493,7 @@ class TestZigzagRule:
             u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
                 signs[min(p, q), max(p, q)] = -1 if mark == "-" else 1
-        doctored = ZDGraph(4, 1, graph.assessors, signs)
+        doctored = ZDGraph(4, 1, signs)
         assert next(emanation._kite_lows(doctored))[:3] == faces[chosen]
 
 
@@ -512,6 +512,18 @@ class TestPathionLift:
     def test_lift_rejects_non_sedenion(self):
         with pytest.raises(ValueError):
             pathion_lift(pathion_lift(build_box_kite(1)))
+
+
+def test_census_and_sweep_build_no_assessor(monkeypatch):
+    def refused(self):
+        raise AssertionError(f"Assessor{self.indices} built")
+
+    monkeypatch.setattr(Assessor, "__post_init__", refused)
+    assert census(6).total == 1113
+    for s in (1, 24, 41, 63):
+        assert list(emanation.sweep_entries(7, s))
+    with pytest.raises(AssertionError):
+        find_box_kites(5, 1)
 
 
 class TestCensus:

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from boxkites.cli import main
+from boxkites.emanation import sweep_range
 from boxkites.render import TARGETS, RenderSpec, cmd_emit
 from boxkites.verify import run_verification
 
@@ -136,7 +137,9 @@ DOT_TARGETS = ("box-kite", "pathion")
 
 
 def spec_id(spec):
-    s_values = ",".join(map(str, spec.s_values))
+    # a tripsync request naming no s holds every s of its level; its id names none
+    whole = spec.s_values == sweep_range(spec.n)
+    s_values = "" if whole else ",".join(map(str, spec.s_values))
     return f"{spec.target} n={spec.n} s={spec.s} {spec.strut} {s_values}".rstrip()
 
 
