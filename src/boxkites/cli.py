@@ -12,7 +12,9 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .render import FORMATS, MAX_WHOLE_LEVEL_N, TARGETS, RenderSpec, emit_chunks, json_text
+from .lariats import STRUT_SYMBOLS
+from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, Target
+from .render import emit_chunks, json_text
 from .verify import SECTIONS, run_verification
 
 
@@ -57,16 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     emit = sub.add_parser("emit", help="render a structure", argument_default=argparse.SUPPRESS)
     emit.add_argument("target", choices=TARGETS)
+    dims = "".join(f"; {t.default_dim} for {name}" for name, t in REGISTRY.items()
+                   if t.default_dim != Target.default_dim)
     emit.add_argument("--dim", dest="n", type=_dim_exponent,
-                      help="algebra dimension (a power of two, default 16; 32 for pathion)")
-    emit.add_argument("--strut", dest="s", type=int, help="strut constant s (default 1)")
-    emit.add_argument("--strut-pair", dest="strut", choices=("AF", "BE", "CD"),
-                      help="strut pair for mock tables (default AF)")
+                      help=f"algebra dimension (a power of two, default {Target.default_dim}{dims})")
+    emit.add_argument("--strut", dest="s", type=int, help=f"strut constant s (default {RenderSpec.s})")
+    emit.add_argument("--strut-pair", dest="strut", choices=tuple(STRUT_SYMBOLS),
+                      help=f"strut pair for mock tables (default {RenderSpec.strut})")
     emit.add_argument("--s-range", dest="s_values", type=_s_range,
                       help="strut constants for tripsync, e.g. 1-8,17")
     emit.add_argument("--failures-only", action="store_true",
                       help="tripsync: list only the failing kites")
-    emit.add_argument("--format", choices=FORMATS, help="output format (default markdown)")
+    emit.add_argument("--format", choices=FORMATS, help=f"output format (default {RenderSpec.format})")
     emit.add_argument("--out", default=None, help="output path (default stdout)")
 
     verify = sub.add_parser("verify", help="run the golden-fixture suite")
@@ -118,8 +122,8 @@ def main(argv=None) -> int:
         _write(parser, chunks, args.out)
         return 0
 
-    # an empty list names the unknown section ""; a name given twice runs once
-    sections = list(dict.fromkeys(args.sections.split(","))) if args.sections is not None else None
+    # an empty list names the unknown section ""
+    sections = args.sections.split(",") if args.sections is not None else None
     _check_out(parser, args.out)
     try:
         report = run_verification(sections)

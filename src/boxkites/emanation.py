@@ -24,6 +24,7 @@ from .kites import (
     assessor_lows,
     assessors_for_strut,
     check_level,
+    check_strut,
     edge_rule,
     slot_trips,
 )
@@ -53,9 +54,9 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     Its C(2^(n-1) - 2, 2) pair tests, about 4^n / 8 of four lookups each,
     are work of the order of the table's 4^n bytes.
     """
-    table = sign_table(n)
-    x = (1 << (n - 1)) + s
-    ends = [(o, o ^ x) for o in assessor_lows(s, n)]
+    lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
+    table, x = sign_table(n), (1 << (n - 1)) + s
+    ends = [(o, o ^ x) for o in lows]
     signs = {}
     for i, (a, big_a) in enumerate(ends):
         row, big_row = table[a], table[big_a]
@@ -220,11 +221,12 @@ class SweepReport:
 
 def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
     """The strut constants a sweep visits: ``s_values`` sorted once each, or
-    every s of level n."""
+    every s of level n; refused at once when one lies outside level n."""
     check_level(n)
-    if s_values is None:
-        s_values = range(1, 1 << (n - 1))
-    return tuple(sorted(set(s_values)))
+    s_values = tuple(sorted(set(range(1, 1 << (n - 1)) if s_values is None else s_values)))
+    for s in s_values:
+        check_strut(s, n)
+    return s_values
 
 
 def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:

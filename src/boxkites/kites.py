@@ -68,18 +68,20 @@ _SAIL_SPELLINGS = frozenset("".join(p) for name in SAIL_LETTERS for p in permuta
 
 @dataclass(frozen=True)
 class Assessor:
-    """Index pair (o, hi) with o xor hi = 2^(n-1) + s."""
+    """Index pair (o, hi) with o xor hi = 2^(n-1) + s, for n >= 4 and 0 < s < 2^(n-1)."""
 
     n: int
     o: int
     hi: int
 
     def __post_init__(self) -> None:
+        check_level(self.n)
         half = 1 << (self.n - 1)
         if not (0 < self.o < half):
             raise ValueError(f"low index {self.o} out of range for n={self.n}")
         if not (half < self.hi < 2 * half):
             raise ValueError(f"high index {self.hi} out of range for n={self.n}")
+        check_strut(self.s, self.n)
 
     @property
     def x(self) -> int:
@@ -131,16 +133,22 @@ class Diagonal:
 def check_level(n: int) -> None:
     """Refuse a dimension exponent below the sedenions, which have no assessors."""
     if n < 4:
-        raise ValueError("emanation structure starts at the sedenions (n >= 4)")
+        raise ValueError("zero-divisor structure starts at the sedenions: n must be at least 4 "
+                         f"(dimension 16); got n = {n}")
+
+
+def check_strut(s: int, n: int) -> None:
+    """Refuse a strut constant outside 0 < s < 2^(n-1), at a level ``check_level`` passes."""
+    half = 1 << (n - 1)
+    if not 0 < s < half:
+        raise ValueError(f"strut constants at dimension {2 * half} lie strictly between 0 and {half}")
 
 
 def assessor_lows(s: int, n: int = 4) -> list[int]:
     """The lows of the assessors of (n, s), ascending: every 0 < o < 2^(n-1) but s."""
     check_level(n)
-    half = 1 << (n - 1)
-    if not (0 < s < half):
-        raise ValueError(f"strut constant {s} out of range for n={n}")
-    return [o for o in range(1, half) if o != s]
+    check_strut(s, n)
+    return [o for o in range(1, 1 << (n - 1)) if o != s]
 
 
 def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:

@@ -33,6 +33,8 @@ from .kites import (
     Assessor,
     BoxKite,
     build_box_kite,
+    check_level,
+    check_strut,
     goto_numbers,
 )
 from .lariats import (
@@ -87,20 +89,16 @@ class RenderSpec:
         reads = target.params
         level = target.default_dim.bit_length() - 1
         object.__setattr__(self, "n", level if self.n is None else self.n)
-        if "n" in reads and self.n < 4:
-            raise ValueError(
-                f"zero-divisor structure starts at the sedenions: n must be at least 4 "
-                f"(dimension 16); got n = {self.n}"
-            )
+        if "n" in reads:
+            check_level(self.n)
         if self.format == "dot" and not target.dot:
             graphs = " or ".join(name for name, t in REGISTRY.items() if t.dot)
             raise ValueError(f"dot output renders zero-divisor graphs; use the {graphs} targets")
-        half = 1 << ((self.n if "n" in reads else level) - 1)
-        s_values = sweep_range(self.n, self.s_values) if "s_values" in reads else ()
-        if not all(0 < s < half for s in ((self.s,) if "s" in reads else s_values)):
-            raise ValueError(
-                f"strut constants at dimension {2 * half} lie strictly between 0 and {half}"
-            )
+        n = self.n if "n" in reads else level
+        s_values = sweep_range(n, self.s_values) if "s_values" in reads else ()
+        if "s" in reads:
+            check_strut(self.s, n)
+        half = 1 << (n - 1)
         searched = 1 if "s" in reads else len(s_values) or half - 1  # none named: every s
         if "n" in reads and searched * comb(half - 2, 2) > MAX_PAIRS:
             raise ValueError(
@@ -206,7 +204,7 @@ def quizzical_payload(tables: list[QuizzicalLariat]) -> dict:
 
 
 def strut_table_payload() -> dict:
-    kites = [build_box_kite(s) for s in range(1, 8)]
+    kites = [build_box_kite(s) for s in sweep_range(4)]
     rows = [
         {"s": bk.s, "goto": list(goto_numbers(bk)), "vertices": _vertex_map(bk)}
         for bk in kites
@@ -223,7 +221,7 @@ def _sail_payload(sail) -> dict:
 
 
 def sync_table_payload() -> dict:
-    reports = [trip_sync_report(build_box_kite(s)) for s in range(1, 8)]
+    reports = [trip_sync_report(build_box_kite(s)) for s in sweep_range(4)]
     rows = [{"s": r.s, "sails": [_sail_payload(sail) for sail in r.sails]} for r in reports]
     return {"n": 4, "rows": rows}
 

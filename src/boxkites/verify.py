@@ -19,6 +19,7 @@ from .emanation import (
     census,
     find_box_kites,
     pathion_lift,
+    sweep_range,
     trip_sync_sweep,
     zd_graph,
 )
@@ -35,6 +36,7 @@ from .kites import (
     trigram_code,
 )
 from .lariats import (
+    STRUT_SYMBOLS,
     NonCollapsibleError,
     is_octonion_isomorphic,
     mock_octonion_table,
@@ -152,7 +154,7 @@ def _section_trips() -> Iterator[CheckResult]:
 
 
 def _section_fabric() -> Iterator[CheckResult]:
-    assessors = {a for s in range(1, 8) for a in assessors_for_strut(s)}
+    assessors = {a for s in sweep_range(4) for a in assessors_for_strut(s)}
     yield _check(
         "fabric/assessor-count", "42 assessors at the sedenion level",
         42, len(assessors),
@@ -205,7 +207,7 @@ def _section_strut_table() -> Iterator[CheckResult]:
 
 
 def _section_edge_signs() -> Iterator[CheckResult]:
-    for s in range(1, 8):
+    for s in sweep_range(4):
         bk = build_box_kite(s)
         # ABC's and DEF's edges are the negative ones
         computed = {p + q: sign for (p, q), sign in zip(EDGE_LETTER_PAIRS, bk.edge_signs)}
@@ -219,7 +221,7 @@ def _section_edge_signs() -> Iterator[CheckResult]:
     # The closed-form edge signs are checked against the four hc_mul
     # products, with the dichotomy asserted, by the test suite's oracle;
     # here the graphs' edge and strut counts are checked for all 7 s.
-    for s in range(1, 8):
+    for s in sweep_range(4):
         graph = zd_graph(4, s)
         yield _check(
             f"edge-signs/graph-{s}",
@@ -271,7 +273,7 @@ def _section_loops() -> Iterator[CheckResult]:
 
 
 def _section_quizzical() -> Iterator[CheckResult]:
-    kites = {s: build_box_kite(s) for s in range(1, 8)}
+    kites = {s: build_box_kite(s) for s in sweep_range(4)}
     lariats = {s: quizzical_tables(bk) for s, bk in kites.items()}
     every = [lariat for tables in lariats.values() for lariat in tables]
     yield _check(
@@ -303,11 +305,11 @@ def _section_quizzical() -> Iterator[CheckResult]:
 
 
 def _section_mock() -> Iterator[CheckResult]:
-    kites = {s: build_box_kite(s) for s in range(1, 8)}
+    kites = {s: build_box_kite(s) for s in sweep_range(4)}
     tables = {
         (s, strut): mock_octonion_table(bk, strut)
         for s, bk in kites.items()
-        for strut in ("AF", "BE", "CD")
+        for strut in STRUT_SYMBOLS
     }
     yield _check(
         "mock/isomorphism",
@@ -322,7 +324,7 @@ def _section_mock() -> Iterator[CheckResult]:
 
 
 def _section_yard() -> Iterator[CheckResult]:
-    kites = [build_box_kite(s) for s in range(1, 8)]
+    kites = [build_box_kite(s) for s in sweep_range(4)]
     yards = []
     try:
         for bk in kites:
@@ -354,7 +356,7 @@ def _section_yard() -> Iterator[CheckResult]:
     subtables_ok = closure_ok and all(
         yard_strut_subtable(yard, strut).cells == mock_octonion_table(bk, strut).cells
         for bk, yard in zip(kites, yards)
-        for strut in ("AF", "BE", "CD")
+        for strut in STRUT_SYMBOLS
     )
     yield _check(
         "yard/strut-subtables",
@@ -447,7 +449,7 @@ def _section_pathion() -> Iterator[CheckResult]:
         sorted(frozenset(t) for t in fixtures.O_TRIPS), abc8,
     )
     lifts_ok = True
-    for s in range(1, 8):
+    for s in sweep_range(4):
         lifted = pathion_lift(build_box_kite(s))
         found = {frozenset(k.vertices) for k in searched[s]}
         lifts_ok = lifts_ok and frozenset(lifted.vertices) in found
@@ -461,25 +463,22 @@ def _section_pathion() -> Iterator[CheckResult]:
 def _section_census() -> Iterator[CheckResult]:
     report = census(5)
     claims = fixtures.PATHION_CENSUS_CLAIMS
-    expected = {
-        s: (claims["per_s_low"] if s <= 8 else claims["per_s_high"])
-        for s in range(1, 16)
-    }
+    expected = {s: claims["per_s_low" if s <= 8 else "per_s_high"] for s in sweep_range(5)}
     yield _check(
         "census/n5-per-s",
-        "pathion census: 7 kites per s <= 8 and 3 per s >= 9",
+        f"pathion census: {claims['per_s_low']} kites per s <= 8 and {claims['per_s_high']} per s >= 9",
         expected, report.per_s, fixture="PATHION_CENSUS_CLAIMS",
     )
     yield _check(
         "census/n5-total",
-        f"enumerated total {report.total} vs stated 84 vs arithmetic 77; "
-        "the stated figure does not survive enumeration",
+        f"enumerated total {report.total} vs stated {claims['stated_total']} vs arithmetic "
+        f"{claims['arithmetic_total']}; the stated figure does not survive enumeration",
         claims["arithmetic_total"], report.total, fixture="PATHION_CENSUS_CLAIMS",
     )
     yield _check(
         "census/n4-total",
         "sedenion census: one kite per strut constant, seven total",
-        {s: 1 for s in range(1, 8)}, census(4).per_s,
+        dict.fromkeys(sweep_range(4), 1), census(4).per_s,
     )
 
 
@@ -524,15 +523,14 @@ SECTIONS = tuple(SECTION_RUNNERS)
 
 
 def run_verification(sections=None) -> VerificationReport:
-    """Run the named sections (default: all), plus fixture coverage on a
-    full run."""
-    if sections is None:
-        selected = SECTIONS
-    else:
-        unknown = [s for s in sections if s not in SECTION_RUNNERS]
-        if unknown:
-            raise ValueError(f"unknown verification sections: {unknown}")
-        selected = tuple(sections)
+    """Run the named sections (default: all), each once in the order first given, plus
+    fixture coverage on a full run; an empty list or an unknown name is refused."""
+    selected = SECTIONS if sections is None else tuple(dict.fromkeys(sections))
+    unknown = [s for s in selected if s not in SECTION_RUNNERS]
+    if unknown:
+        raise ValueError(f"unknown verification sections: {unknown}")
+    if not selected:
+        raise ValueError(f"name at least one verification section of: {','.join(SECTIONS)}")
     report = VerificationReport(selected)
     for name in selected:
         report.results.extend(SECTION_RUNNERS[name]())

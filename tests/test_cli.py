@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import boxkites
 from boxkites import cli, emanation, render
 from boxkites.cli import main
 from boxkites.kites import build_box_kite
-from boxkites.lariats import switching_yard
+from boxkites.lariats import STRUT_SYMBOLS, switching_yard
 from boxkites.render import (
     TARGETS,
     RenderSpec,
@@ -476,6 +477,12 @@ class TestRoundTrip:
         rebuilt = parse_box_kite(payload)
         assert box_kite_payload(rebuilt) == payload
 
+    def test_payload_below_sedenions_refused(self):
+        payload = {**box_kite_payload(build_box_kite(1)), "n": 0}
+        message = r"starts at the sedenions: n must be at least 4 \(dimension 16\); got n = 0$"
+        with pytest.raises(ValueError, match=message):
+            parse_box_kite(payload)
+
     def test_yard_json_round_trip(self, capsys):
         code, out = emit(capsys, "yard", "--strut", "2", "--format", "json")
         payload = json.loads(out)
@@ -518,6 +525,30 @@ class TestVerifyCommand:
         assert payload["sections"] == ["census", "trips"]
         once = run_verification(["census", "trips"]).to_payload()
         assert payload == once
+
+    def test_library_refuses_empty_section_list(self):
+        with pytest.raises(ValueError, match="name at least one verification section"):
+            run_verification([])
+
+    def test_library_runs_repeated_section_once(self):
+        report = run_verification(["trips", "trips"])
+        assert report.sections == ("trips",)
+        assert len(report.results) == 37
+        assert report.to_payload() == run_verification(["trips"]).to_payload()
+
+    def test_census_claims_read_from_fixture(self, monkeypatch):
+        from boxkites import fixtures
+
+        claims = {"per_s_low": 70, "per_s_high": 30, "stated_total": 840, "arithmetic_total": 770}
+        monkeypatch.setattr(fixtures, "PATHION_CENSUS_CLAIMS", claims)
+        results = {r.check_id: r for r in run_verification(["census"]).results}
+        assert results["census/n5-per-s"].claim == (
+            "pathion census: 70 kites per s <= 8 and 30 per s >= 9"
+        )
+        assert results["census/n5-total"].claim.startswith(
+            "enumerated total 77 vs stated 840 vs arithmetic 770; "
+        )
+        assert not results["census/n5-total"].passed
 
     def test_unknown_section_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -581,6 +612,34 @@ class TestVerifyCommand:
             "quizzical", "mock", "yard", "sync-table", "pathion",
             "census", "tripsync",
         }
+
+
+class TestHelp:
+    # argparse %-formats each help string only when help is printed
+    @pytest.mark.parametrize("argv", [[], ["emit"], ["verify"]], ids=["boxkites", "emit", "verify"])
+    def test_help_formats(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['boxkites', *argv])} ")
+
+    def test_emit_help_reads_library_defaults(self, capsys, monkeypatch):
+        monkeypatch.setitem(render.REGISTRY, "pathion",
+                            replace(render.REGISTRY["pathion"], default_dim=128))
+        with pytest.raises(SystemExit):
+            main(["emit", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "default 16; 128 for pathion" in out
+        for default in (RenderSpec.s, RenderSpec.strut, RenderSpec.format):
+            assert f"(default {default})" in out
+        assert f"--strut-pair {{{','.join(STRUT_SYMBOLS)}}}" in out
+
+    def test_strut_pair_choices_read_from_lariats(self, monkeypatch):
+        monkeypatch.setattr(cli, "STRUT_SYMBOLS", {"XY": ()})
+        parser = cli.build_parser()
+        assert parser.parse_args(["emit", "mock", "--strut-pair", "XY"]).strut == "XY"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["emit", "mock", "--strut-pair", "AF"])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

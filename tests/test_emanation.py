@@ -16,6 +16,7 @@ from boxkites.emanation import (
     census,
     find_box_kites,
     pathion_lift,
+    sweep_range,
     trip_sync_sweep,
     zd_graph,
 )
@@ -599,12 +600,39 @@ class TestCensus:
 @pytest.mark.parametrize("n", [0, 3, -1])
 @pytest.mark.parametrize(
     "entry",
-    [census, trip_sync_sweep, lambda n: trip_sync_sweep(n, [])],
-    ids=["census", "trip_sync_sweep", "trip_sync_sweep-no-s"],
+    [census, trip_sync_sweep, lambda n: trip_sync_sweep(n, []), lambda n: zd_graph(n, 1),
+     lambda n: find_box_kites(n, 1), lambda n: Assessor(n, 1, 5)],
+    ids=["census", "trip_sync_sweep", "trip_sync_sweep-no-s", "zd_graph", "find_box_kites",
+         "Assessor"],
 )
 def test_level_below_sedenions_refused(entry, n):
-    with pytest.raises(ValueError, match=r"starts at the sedenions \(n >= 4\)$"):
+    message = rf"starts at the sedenions: n must be at least 4 \(dimension 16\); got n = {n}$"
+    with pytest.raises(ValueError, match=message):
         entry(n)
+
+
+@pytest.mark.parametrize("n,s", [(4, 0), (4, 8), (6, 99), (6, -1)])
+def test_strut_constant_outside_level_refused(n, s):
+    half = 1 << (n - 1)
+    message = rf"^strut constants at dimension {2 * half} lie strictly between 0 and {half}$"
+    for refused in (lambda: zd_graph(n, s), lambda: find_box_kites(n, s),
+                    lambda: assessors_for_strut(s, n)):
+        with pytest.raises(ValueError, match=message):
+            refused()
+
+
+def test_sweep_range_refuses_at_once(monkeypatch):
+    # refused while the s values are read, before any graph is built
+    def no_search(n, s):
+        raise AssertionError(f"zd_graph({n}, {s}) called")
+
+    monkeypatch.setattr(emanation, "zd_graph", no_search)
+    for s_values in ([0, 99], [1, 32], [-3]):
+        with pytest.raises(ValueError, match="lie strictly between 0 and 32$"):
+            sweep_range(6, s_values)
+        with pytest.raises(ValueError, match="lie strictly between 0 and 32$"):
+            trip_sync_sweep(6, s_values)
+    assert sweep_range(6, [31, 1, 31]) == (1, 31)
 
 
 class TestSweep:

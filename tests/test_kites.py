@@ -61,6 +61,16 @@ class TestAssessors:
         with pytest.raises(ValueError):
             assessors_for_strut(0)
 
+    @pytest.mark.parametrize("n,o,hi,message", [
+        (0, 1, 2, r"starts at the sedenions: .*; got n = 0$"),
+        (4, 1, 9, r"^strut constants at dimension 16 lie strictly between 0 and 8$"),
+        (5, 3, 19, r"^strut constants at dimension 32 lie strictly between 0 and 16$"),
+    ], ids=["n0", "n4-s0", "n5-s0"])
+    def test_refused_off_a_level_or_strut_range(self, n, o, hi, message):
+        # the level is checked before the indices and s, which shift by n - 1
+        with pytest.raises(ValueError, match=message):
+            Assessor(n, o, hi)
+
     def test_diagonal_reps(self):
         a = Assessor(4, 3, 10)
         assert a.slash.rep.coeffs == {3: 1, 10: 1}
