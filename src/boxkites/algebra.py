@@ -149,10 +149,6 @@ class Hypercomplex:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def zero(cls, n: int) -> "Hypercomplex":
-        return cls(n, {})
-
-    @classmethod
     def unit(cls, n: int, index: int, coeff: Scalar = 1) -> "Hypercomplex":
         return cls(n, {index: coeff})
 

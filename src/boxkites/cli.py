@@ -13,8 +13,8 @@ import sys
 from collections.abc import Iterable
 
 from .lariats import STRUT_SYMBOLS
-from .render import FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, Target
-from .render import emit_chunks, json_text
+from .render import FLAGS, FORMATS, MAX_WHOLE_LEVEL_N, REGISTRY, TARGETS, RenderSpec, Target
+from .render import emit_chunks, field_readers, json_text
 from .verify import SECTIONS, run_verification
 
 
@@ -59,17 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     emit = sub.add_parser("emit", help="render a structure", argument_default=argparse.SUPPRESS)
     emit.add_argument("target", choices=TARGETS)
+    read_by = {name: " or ".join(field_readers(name)) for name in FLAGS}
     dims = "".join(f"; {t.default_dim} for {name}" for name, t in REGISTRY.items()
                    if t.default_dim != Target.default_dim)
-    emit.add_argument("--dim", dest="n", type=_dim_exponent,
+    emit.add_argument(FLAGS["n"], dest="n", type=_dim_exponent,
                       help=f"algebra dimension (a power of two, default {Target.default_dim}{dims})")
-    emit.add_argument("--strut", dest="s", type=int, help=f"strut constant s (default {RenderSpec.s})")
-    emit.add_argument("--strut-pair", dest="strut", choices=tuple(STRUT_SYMBOLS),
-                      help=f"strut pair for mock tables (default {RenderSpec.strut})")
-    emit.add_argument("--s-range", dest="s_values", type=_s_range,
-                      help="strut constants for tripsync, e.g. 1-8,17")
-    emit.add_argument("--failures-only", action="store_true",
-                      help="tripsync: list only the failing kites")
+    emit.add_argument(FLAGS["s"], dest="s", type=int, help=f"strut constant s (default {RenderSpec.s})")
+    emit.add_argument(FLAGS["strut"], dest="strut", choices=tuple(STRUT_SYMBOLS),
+                      help=f"strut pair for {read_by['strut']} tables (default {RenderSpec.strut})")
+    emit.add_argument(FLAGS["s_values"], dest="s_values", type=_s_range,
+                      help=f"strut constants for {read_by['s_values']}, e.g. 1-8,17")
+    emit.add_argument(FLAGS["failures_only"], dest="failures_only", action="store_true",
+                      help=f"{read_by['failures_only']}: list only the failing kites")
     emit.add_argument("--format", choices=FORMATS, help=f"output format (default {RenderSpec.format})")
     emit.add_argument("--out", default=None, help="output path (default stdout)")
 

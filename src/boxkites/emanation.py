@@ -21,6 +21,7 @@ from .kites import (
     SYNC_SAILS,
     Assessor,
     BoxKite,
+    _strut_x,
     assessor_lows,
     assessors_for_strut,
     check_level,
@@ -55,7 +56,7 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     are work of the order of the table's 4^n bytes.
     """
     lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
-    table, x = sign_table(n), (1 << (n - 1)) + s
+    table, x = sign_table(n), _strut_x(n, s)
     ends = [(o, o ^ x) for o in lows]
     signs = {}
     for i, (a, big_a) in enumerate(ends):
@@ -183,15 +184,16 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:
-    """Lift a sedenion box-kite one level: add 8 to every high index.
+    """Lift a sedenion box-kite one level: each high becomes o xor X(5, s), 8 more.
 
     The result is validated as a genuine box-kite for the same strut
     constant one dimension up.
     """
     if bk.n != 4:
         raise ValueError("lift starts from a sedenion box-kite")
+    x = _strut_x(5, bk.s)
     vertex_map = {
-        letter: Assessor(5, v.o, v.hi + 8) for letter, v in zip(LETTERS, bk.vertices)
+        letter: Assessor(5, v.o, v.o ^ x) for letter, v in zip(LETTERS, bk.vertices)
     }
     return BoxKite.assemble(5, bk.s, vertex_map)
 
@@ -241,7 +243,7 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     labelled kite is the reference.
     """
     graph, table = zd_graph(n, s), sign_table(n)
-    x = (1 << (n - 1)) + s
+    x = _strut_x(n, s)
     for lows in _kite_lows(graph):
         ends = [(o, o ^ x) for o in lows]  # (low, high) by letter
         counterexamples = []

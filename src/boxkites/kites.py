@@ -7,6 +7,11 @@ divisors.  Six assessors sharing a strut constant assemble into an
 octahedron (a box-kite) whose twelve edges carry mutual zero divisors and
 whose three antipodal pairs (struts) carry none.
 
+X is computed from (n, s) here alone, by ``_strut_x``; ``Assessor.s`` is its
+inverse.  A ``BoxKite`` of (n, s) refuses, however it is built, any vertex
+whose X is not X(n, s); as X lies between 2^(n-1) and 2^n, that also
+refuses a vertex of another level.
+
 Vertex letters: F, E, D sit at the opposite ends of the struts from A, B,
 C respectively, and (a, b, c), the low indices of A, B, C, is a positively
 oriented triple starting at the smallest index.  A sail is a zigzag when its
@@ -151,10 +156,15 @@ def assessor_lows(s: int, n: int = 4) -> list[int]:
     return [o for o in range(1, 1 << (n - 1)) if o != s]
 
 
+def _strut_x(n: int, s: int) -> int:
+    """X = 2^(n-1) + s, the index XOR of every assessor of (n, s)."""
+    return (1 << (n - 1)) + s
+
+
 def assessors_for_strut(s: int, n: int = 4) -> list[Assessor]:
     """The 2^(n-1) - 2 assessors owned by strut constant s, ascending by o."""
     lows = assessor_lows(s, n)
-    x = (1 << (n - 1)) + s
+    x = _strut_x(n, s)
     return [Assessor(n, o, o ^ x) for o in lows]
 
 
@@ -229,12 +239,25 @@ class Sail:
 
 @dataclass(frozen=True)
 class BoxKite:
-    """Octahedron of six assessors with computed zero-divisor edge signs."""
+    """Octahedron of six assessors with computed zero-divisor edge signs.
+
+    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s);
+    a kite is refused at construction otherwise, and when n is below the
+    sedenions or s is no strut constant of level n.
+    """
 
     n: int
     s: int
     vertices: tuple[Assessor, Assessor, Assessor, Assessor, Assessor, Assessor]
     edge_signs: tuple[int, ...]  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
+
+    def __post_init__(self) -> None:
+        check_level(self.n)
+        check_strut(self.s, self.n)
+        x = _strut_x(self.n, self.s)
+        for letter, v in zip(LETTERS, self.vertices):
+            if v.x != x:
+                raise ValueError(f"vertex {letter} = {v} does not carry X = {x}")
 
     @classmethod
     def assemble(cls, n: int, s: int, vertex_map: dict[str, Assessor]) -> "BoxKite":

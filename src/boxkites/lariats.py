@@ -2,8 +2,9 @@
 
 The tracked entities are whole oriented lines, not unit points.  Sixteen
 line symbols attach to a box-kite: R is the positive real axis (the
-identity, or life-line), "8" the half-dimension unit e_8, X the unit
-indexed 8 + s, S the unit indexed s, and each vertex letter names a
+identity, or life-line), "8" the half-dimension unit (e_8 in the
+sedenions), X the unit indexed by the kite's X (8 + s in the sedenions), S
+the unit indexed s, and each vertex letter names a
 diagonal, upper case for slash (e_o + e_hi) and lower case for backslash
 (e_o - e_hi).  A product of two lines is either exactly zero or a positive
 multiple of the signed representative of another symbol; the positive scale
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
-from .kites import LETTERS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, slot_trips
+from .kites import LETTERS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, _strut_x, slot_trips
 
 STRUT_SYMBOLS = {"AF": ("F", "a", "f", "A"), "BE": ("E", "b", "e", "B"), "CD": ("D", "c", "d", "C")}
 
@@ -38,7 +39,7 @@ def symbol_rep(bk: BoxKite, symbol: str) -> Hypercomplex:
     if symbol == "8":
         return Hypercomplex.unit(bk.n, half)
     if symbol == "X":
-        return Hypercomplex.unit(bk.n, half + bk.s)
+        return Hypercomplex.unit(bk.n, _strut_x(bk.n, bk.s))
     if symbol == "S":
         return Hypercomplex.unit(bk.n, bk.s)
     if symbol.upper() in "ABCDEF" and len(symbol) == 1:
@@ -74,7 +75,8 @@ class _Lines:
     """A box-kite's yard symbols as integer lines, and the way back.
 
     Each symbol representative is c e_k + d e_(k^X) with k < 2^(n-1), held in
-    ``lines`` as (k, c, d) from the kite's (o, hi) indices.  Such lines
+    ``lines`` as (k, c, d) from the kite's lows, as ``BoxKite`` holds every
+    vertex's high at o ^ X.  Such lines
     multiply to such lines: e_k e_m and e_K e_M land on k ^ m, e_k e_M and
     e_K e_m on k ^ m ^ X (K = k ^ X, M = m ^ X).  ``lookup`` maps the sorted
     terms of every signed representative to (sign, symbol), the first in
@@ -83,11 +85,9 @@ class _Lines:
 
     def __init__(self, bk: BoxKite) -> None:
         self.n = bk.n
-        self.x = (1 << (bk.n - 1)) + bk.s
+        self.x = _strut_x(bk.n, bk.s)
         self.lines = {"R": (0, 1, 0), "8": (bk.s, 0, 1), "X": (0, 0, 1), "S": (bk.s, 1, 0)}
         for letter, v in zip(LETTERS, bk.vertices):
-            if v.hi != v.o ^ self.x:
-                raise ValueError(f"vertex {letter} = {v} does not carry X = {self.x}")
             self.lines[letter], self.lines[letter.lower()] = (v.o, 1, 1), (v.o, 1, -1)
         self.lookup: dict[tuple[tuple[int, int], ...], tuple[int, str]] = {}
         for sym in YARD_SYMBOLS:

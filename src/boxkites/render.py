@@ -56,9 +56,14 @@ FORMATS = ("markdown", "csv", "json", "dot")
 # request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8
 MAX_PAIRS = (2 ** (MAX_WHOLE_LEVEL_N - 1) - 1) * comb(2 ** (MAX_WHOLE_LEVEL_N - 1) - 2, 2)
-# The command-line flag that sets each request field.
-_FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
-          "s_values": "--s-range", "failures_only": "--failures-only"}
+# The command-line flag that sets each request field, the one place it is named.
+FLAGS = {"n": "--dim", "s": "--strut", "strut": "--strut-pair",
+         "s_values": "--s-range", "failures_only": "--failures-only"}
+
+
+def field_readers(name: str) -> list[str]:
+    """The targets whose requests read the field ``name``, in registry order."""
+    return [key for key, t in REGISTRY.items() if name in t.params]
 
 
 @dataclass(frozen=True)
@@ -109,10 +114,10 @@ class RenderSpec:
         for field in fields(self):
             name = field.name
             default = level if name == "n" else field.default
-            if name in _FLAGS and name not in reads and getattr(self, name) != default:
-                readers = [key for key, t in REGISTRY.items() if name in t.params]
+            if name in FLAGS and name not in reads and getattr(self, name) != default:
+                readers = field_readers(name)
                 raise ValueError(
-                    f"target {self.target!r} reads no {_FLAGS[name]} values; only the "
+                    f"target {self.target!r} reads no {FLAGS[name]} values; only the "
                     f"{' or '.join(readers)} target{'s take' if len(readers) > 1 else ' takes'} them"
                 )
         if "s_values" in reads:
@@ -167,7 +172,10 @@ def box_kite_payload(bk: BoxKite) -> dict:
 
 
 def parse_box_kite(payload: dict) -> BoxKite:
-    """Rebuild (and revalidate) a box-kite from its JSON payload."""
+    """Rebuild a box-kite from its JSON payload, revalidating: the letters A
+    to F, each vertex an assessor of level n; a zero divisor on each of the
+    twelve edges and none on a strut, the signs recomputed, not read; s a
+    strut constant of level n, and X = 2^(n-1) + s carried by every vertex."""
     vertex_map = {
         letter: Assessor(payload["n"], o, hi)
         for letter, (o, hi) in payload["vertices"].items()

@@ -483,6 +483,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             parse_box_kite(payload)
 
+    def test_payload_with_another_s_refused(self):
+        # the vertices of box-kite I carry X = 9, not the 10 of s = 2
+        payload = {**box_kite_payload(build_box_kite(1)), "s": 2}
+        with pytest.raises(ValueError, match=r"^vertex A = \(3,10\) does not carry X = 10$"):
+            parse_box_kite(payload)
+
     def test_yard_json_round_trip(self, capsys):
         code, out = emit(capsys, "yard", "--strut", "2", "--format", "json")
         payload = json.loads(out)

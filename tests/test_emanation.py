@@ -253,9 +253,9 @@ class TestSignTableUse:
     def test_trip_sync_report_refuses_vertices_off_one_x(self):
         kite = build_box_kite(1)
         stray = Assessor(4, kite.vertices[0].o, kite.vertices[0].o ^ 10)  # X = 10, not 9
-        hand_built = BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
-        with pytest.raises(ValueError, match="not a unit triple"):
-            trip_sync_report(hand_built)
+        # refused when built, so trip_sync_report never meets it
+        with pytest.raises(ValueError, match="vertex A = \\(3,9\\) does not carry X = 9"):
+            BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
 
 
 class TestFindBoxKites:

@@ -1,6 +1,7 @@
 """Box-kite assembly against the strut table, and the sail machinery."""
 
 import random
+import re
 from functools import cache
 from itertools import combinations, permutations
 
@@ -16,6 +17,7 @@ from boxkites.fixtures import (
     TRIGRAM_UNSWITCHED,
 )
 from boxkites.algebra import hc_mul, trip_orientation
+from boxkites.emanation import find_box_kites
 from boxkites.kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -207,6 +209,30 @@ class TestStrutTable:
         clique = {p: Assessor(5, o, o ^ 17) for p, o in zip(LETTERS, (2, 4, 6, 8, 10, 12))}
         with pytest.raises(ValueError, match="strut A-F carries a zero divisor"):
             BoxKite.assemble(5, 1, clique)
+
+    def test_assemble_refuses_vertices_of_another_level(self):
+        # the n = 5 vertices of an s = 9 kite carry X = 25, not the 9 of (4, 1)
+        letters = dict(zip(LETTERS, find_box_kites(5, 9)[0].vertices))
+        message = f"vertex A = {letters['A']} does not carry X = 9"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoxKite.assemble(4, 1, letters)
+
+    def test_constructor_refuses_a_vertex_off_its_x(self):
+        kite = bk1()
+        vertices = list(kite.vertices)
+        vertices[3] = Assessor(4, 4, 4 ^ 10)  # D of (4, 2), not (4, 1)
+        with pytest.raises(ValueError, match=r"^vertex D = \(4,14\) does not carry X = 9$"):
+            BoxKite(4, 1, tuple(vertices), kite.edge_signs)
+
+    @pytest.mark.parametrize("n, s, message", [
+        # X(4, 20) = 28 is the X of (5, 12): an s out of range is refused first
+        (4, 20, "strut constants at dimension 16 lie strictly between 0 and 8$"),
+        (3, 12, "starts at the sedenions: n must be at least 4"),
+    ])
+    def test_constructor_refuses_a_level_or_strut_constant_out_of_range(self, n, s, message):
+        kite = find_box_kites(5, 12)[0]
+        with pytest.raises(ValueError, match=message):
+            BoxKite(n, s, kite.vertices, kite.edge_signs)
 
     def test_edge_letter_pairs(self):
         assert len(EDGE_LETTER_PAIRS) == len(set(EDGE_LETTER_PAIRS)) == 12
