@@ -16,18 +16,17 @@ from itertools import combinations
 
 from .algebra import TripIndices, sign_table
 from .kites import (
-    EDGE_LETTER_PAIRS,
     LETTERS,
     SYNC_SAILS,
     Assessor,
     BoxKite,
+    _EDGE_ENDS,
     _strut_x,
     assessor_lows,
     assessors_for_strut,
     check_level,
     check_strut,
     edge_rule,
-    slot_trips,
 )
 
 
@@ -103,53 +102,52 @@ def _kite_struts(graph: ZDGraph):
                     yield u1, v1, u2, v2, u3, v3
 
 
-def _faces(graph: ZDGraph, table, struts: tuple[int, ...]) -> list[tuple[bool, TripIndices]]:
-    """The four sails of the box-kite with these strut lows, as (trefoil,
-    lows in ASO order); the least is A, B, C.  Lows a < b < c are in ASO
-    order as (a, c, b) when byte b of the sign ``table``'s row a is 1.
-
-    A, B, C take a zigzag sail, one whose three edges in the graph are all
-    "-", its lows in ASO order (positive, smallest first); ties go to the
-    least low triple.  Kites with no zigzag sail exist (trip-sync
-    counterexamples appear at n=6 for s above 24); those take the least
-    sail so the sweep can report them.
-
-    A zigzag is also the sail whose four slot triples, in ASO order, are
-    all positive.  With lows a, b, c (e_a e_b = +e_c) and highs A, B, C,
-    ``edge_rule`` makes p-q "-" iff sgn(p,q) = sgn(P,Q).  As sgn(a,b) =
-    sgn(b,c) = sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c),
-    (a,B,C) and (A,b,C) are positive; (a,b,c) is positive by its order.
-    """
-    signs = graph.signs
-    u1, v1, u2, v2 = struts[:4]
-    faces = []
-    for x in (u1, v1):
-        for y in (u2, v2):
-            a, b, c = sorted((x, y, x ^ y))
-            trefoil = max(signs[a, b], signs[a, c], signs[b, c]) > 0
-            faces.append((trefoil, (a, c, b) if table[a][b] else (a, b, c)))
-    return faces
-
-
 def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
     """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows).
 
-    A, B, C are as ``_faces`` says; F, E, D are their strut partners."""
-    table = sign_table(graph.n)
-    abc_struts = sorted((min(_faces(graph, table, st))[1], st) for st in _kite_struts(graph))
-    for (a, b, c), struts in abc_struts:
-        t = struts[0] ^ struts[1]  # the struts' low XOR
+    A, B, C take the sail the ``kites`` module names, its lows in ASO order
+    (positive, smallest first): the least zigzag, all three edges "-", or
+    on a kite with none the least sail.  F, E, D are their strut partners.
+    Each sail has lows p, q and p^q, p and q on the first two struts; from
+    rows of the sign table T, ``edge_rule`` makes edge p-q, highs P and Q,
+    "-" iff T[p][q] = T[P][Q], and lows a < b < c are in ASO order as
+    (a, c, b) iff T[a][b] is 1.
+
+    A zigzag is also the sail whose four slot triples, in ASO order, are
+    all positive.  With lows a, b, c (e_a e_b = +e_c) and highs A, B, C,
+    p-q is "-" iff sgn(p,q) = sgn(P,Q).  As sgn(a,b) = sgn(b,c) =
+    sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c), (a,B,C) and
+    (A,b,C) are positive; (a,b,c) is positive by its order.
+    """
+    table, x = sign_table(graph.n), _strut_x(graph.n, graph.s)
+    keyed = []
+    for struts in _kite_struts(graph):
+        u1, v1, u2, v2 = struts[:4]
+        zigzags, trefoils = [], []
+        for p in (u1, v1):
+            row, big_row = table[p], table[p ^ x]
+            for q in (u2, v2):
+                r = p ^ q  # the sail's low on the third strut
+                zigzag = (row[q] == big_row[q ^ x] and row[r] == big_row[r ^ x]
+                          and table[q][r] == table[q ^ x][r ^ x])
+                (zigzags if zigzag else trefoils).append((p, q, r))
+        abc = None
+        for face in zigzags or trefoils:
+            a, b, c = sorted(face)
+            lows = (a, c, b) if table[a][b] else (a, b, c)
+            if abc is None or lows < abc:
+                abc = lows
+        keyed.append((*abc, u1, v1))  # with the ABC lows, the first strut fixes the kite
+    keyed.sort()
+    for a, b, c, u1, v1 in keyed:
+        t = u1 ^ v1  # the struts' low XOR
         yield a, b, c, c ^ t, b ^ t, a ^ t
-
-
-# The letter indices of each edge's ends, in the order of ``BoxKite.edge_signs``.
-_EDGES = tuple(tuple(map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
 
 
 def _label_kite(graph: ZDGraph, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
     """The box-kite whose letters A to F have these lows, by ``vertex``'s assessors."""
     signs = graph.signs
-    edge_signs = tuple(signs[tuple(sorted((lows[i], lows[j])))] for i, j in _EDGES)
+    edge_signs = tuple(signs[tuple(sorted((lows[i], lows[j])))] for i, j in _EDGE_ENDS)
     return BoxKite(graph.n, graph.s, tuple(map(vertex.__getitem__, lows)), edge_signs)
 
 
@@ -231,26 +229,41 @@ def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
     return s_values
 
 
+# Each sync-order sail's slot-0 and slot-1 letter indices, then the bytes its
+# slot triples must show, in ``kites.slot_trips`` order: 1 where negative.
+_SYNC_SLOTS = tuple(
+    (*vertices(range(6))[:2], *(int(want < 0) for want in expected))
+    for _, vertices, expected in SYNC_SAILS
+)
+
+
 def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     """The trip-sync verdict of every box-kite of (n, s), in the order of
     ``find_box_kites``.
 
     Each kite of the search is lettered by ``_kite_lows``; the 16 slot
-    triples of its sync-order sails are checked against the pattern
-    ``kites.SYNC_SAILS`` expects.  A slot triple closes under XOR, so its
-    orientation is the one sign-table byte of its first two indices.  No
-    kite or report object is built; ``lariats.trip_sync_report`` on the
-    labelled kite is the reference.
+    triples of its sync-order sails are checked against ``kites.SYNC_SAILS``.
+    A slot triple closes under XOR, so its first two indices fix it and its
+    orientation: rows p and P of a sail's slot-0 low and high, each at its
+    slot-1 low q and high Q.  Only a failing slot forms its triple; no kite
+    is built.  ``lariats.trip_sync_report`` on the labelled kite is the reference.
     """
     graph, table = zd_graph(n, s), sign_table(n)
     x = _strut_x(n, s)
     for lows in _kite_lows(graph):
-        ends = [(o, o ^ x) for o in lows]  # (low, high) by letter
         counterexamples = []
-        for _, vertices, expected in SYNC_SAILS:
-            for trip, want in zip(slot_trips(vertices(ends)), expected):
-                if table[trip[0]][trip[1]] != (want < 0):  # byte 1: the triple is negative
-                    counterexamples.append(trip)
+        for i, j, pq, p_big_q, big_p_q, big_pq in _SYNC_SLOTS:
+            p, q = lows[i], lows[j]
+            big_p, big_q = p ^ x, q ^ x
+            row, big_row = table[p], table[big_p]
+            if row[q] != pq:
+                counterexamples.append((p, q, p ^ q))
+            if row[big_q] != p_big_q:
+                counterexamples.append((p, big_q, p ^ big_q))
+            if big_row[q] != big_p_q:
+                counterexamples.append((big_p, q, big_p ^ q))
+            if big_row[big_q] != big_pq:
+                counterexamples.append((big_p, big_q, p ^ q))
         yield SweepEntry(s, lows[:3], not counterexamples, tuple(counterexamples))
 
 

@@ -21,7 +21,7 @@ A, B, C: the zigzag sail with the least low triple or, on a kite with none
 n).  At n = 4 every kite has one zigzag, the strut terminals, so
 ``build_box_kite`` names each kite as the search does.  With its lows in
 ASO order, a sail's four slot triples are all positively oriented exactly
-when it is a zigzag (proved at ``emanation._faces``), so the edge
+when it is a zigzag (proved at ``emanation._kite_lows``), so the edge
 signs alone decide.
 """
 
@@ -51,6 +51,8 @@ STRUT_LETTER_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
 EDGE_LETTER_PAIRS = tuple(
     pair for pair in combinations(LETTERS, 2) if pair not in STRUT_LETTER_PAIRS
 )
+# The letter indices of each edge's ends, in ``EDGE_LETTER_PAIRS`` order.
+_EDGE_ENDS = tuple(tuple(map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
 # Each edge's position in ``BoxKite.edge_signs``, under both spellings.
 _EDGE_POSITION = {
     pair: i for i, (p, q) in enumerate(EDGE_LETTER_PAIRS) for pair in ((p, q), (q, p))
@@ -241,9 +243,10 @@ class Sail:
 class BoxKite:
     """Octahedron of six assessors with computed zero-divisor edge signs.
 
-    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s);
-    a kite is refused at construction otherwise, and when n is below the
-    sedenions or s is no strut constant of level n.
+    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s),
+    and each of the 12 edge signs is ``edge_sign`` of its ends (``blade_sign``,
+    as a sign table holds one level only); a kite is refused at construction
+    otherwise, and when n is below the sedenions or s is no strut constant.
     """
 
     n: int
@@ -254,10 +257,15 @@ class BoxKite:
     def __post_init__(self) -> None:
         check_level(self.n)
         check_strut(self.s, self.n)
+        if len(self.vertices) != len(LETTERS):
+            raise ValueError(f"a box-kite has {len(LETTERS)} vertices, not {len(self.vertices)}")
         x = _strut_x(self.n, self.s)
         for letter, v in zip(LETTERS, self.vertices):
             if v.x != x:
                 raise ValueError(f"vertex {letter} = {v} does not carry X = {x}")
+        signs = tuple(edge_sign(self.vertices[i], self.vertices[j]) for i, j in _EDGE_ENDS)
+        if self.edge_signs != signs:
+            raise ValueError(f"edge signs {self.edge_signs} are not those of the vertices, {signs}")
 
     @classmethod
     def assemble(cls, n: int, s: int, vertex_map: dict[str, Assessor]) -> "BoxKite":

@@ -465,14 +465,9 @@ class TestZigzagRule:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_face_order_from_the_sign_table_is_aso_form(self, n):
-        table = sign_table(n)
         for s in range(1, 1 << (n - 1)):
-            graph = zd_graph(n, s)
-            for struts in emanation._kite_struts(graph):
-                faces = emanation._faces(graph, table, struts)
-                assert len(faces) == 4
-                for _, lows in faces:
-                    assert lows == aso_form(lows), (s, struts)
+            for lows in emanation._kite_lows(zd_graph(n, s)):
+                assert lows[:3] == aso_form(lows[:3]), (s, lows)
 
     def test_zigzag_sails_per_kite_at_n6_s25(self):
         # whatever the spelling, a sail with three "-" edges is a zigzag
@@ -482,20 +477,26 @@ class TestZigzagRule:
     @pytest.mark.parametrize("patterns,chosen", [
         (("--+", "---", "---", "+++"), 1),  # the first all-"-" face
         (("--+", "-++", "+-+", "+++"), 0),  # none: the least face
+        (("-+-", "---", "---", "+++"), 1),  # whichever edge of a face is "+"
+        (("+--", "---", "---", "+++"), 1),
     ])
-    def test_labelling_counts_all_three_edges(self, patterns, chosen):
-        # on the algebra's graphs every sail has one or three "-" edges, so
-        # doctor them: each edge lies on one sail, and the faces, in the
-        # labelling's order, take these signs on their edges (v0-v1, v1-v2, v2-v0)
+    def test_labelling_counts_all_three_edges(self, patterns, chosen, monkeypatch):
+        # on the algebra's kites every sail has one or three "-" edges, so
+        # doctor the sign table the labelling reads: each edge lies on one
+        # sail, and the faces, in the labelling's order, take these signs on
+        # their edges (v0-v1, v1-v2, v2-v0).  An edge p-q is "-" when the
+        # highs' byte T[P][Q] equals T[p][q]; the lows' rows stay as they are.
         graph = zd_graph(4, 1)
+        x = graph.assessors[0].x
         faces = sorted(aso_form(v.o for v in sail.vertices) for sail in find_box_kites(4, 1)[0].sails)
-        signs = {}
+        table = [bytearray(row) for row in sign_table(4)]
         for lows, pattern in zip(faces, patterns):
             u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
-                signs[min(p, q), max(p, q)] = -1 if mark == "-" else 1
-        doctored = ZDGraph(4, 1, signs)
-        assert next(emanation._kite_lows(doctored))[:3] == faces[chosen]
+                high_byte = table[p][q] if mark == "-" else 1 - table[p][q]
+                table[p ^ x][q ^ x], table[q ^ x][p ^ x] = high_byte, 1 - high_byte
+        monkeypatch.setattr(emanation, "sign_table", lambda n: table)
+        assert next(emanation._kite_lows(graph))[:3] == faces[chosen]
 
 
 class TestPathionLift:
@@ -674,6 +675,27 @@ class TestSweep:
                 for e in emanation.sweep_entries(n, s)
             ]
             assert fused == expected, (n, s)
+
+    def test_n6_tally_by_nativity_and_zigzags(self):
+        # every kite of n = 6, labelled by the search and judged by the
+        # one-kite report: (native, zigzag sails, passed) -> kites.  Natives
+        # all pass; a kite with no zigzag sail or with four fails.
+        tally = Counter()
+        for s in range(1, 32):
+            kites = find_box_kites(6, s)
+            entries = list(emanation.sweep_entries(6, s))
+            assert [e.abc_lows for e in entries] == [k.sail("ABC").trips()[0] for k in kites], s
+            for kite, entry in zip(kites, entries):
+                passed = trip_sync_report(kite).passed
+                assert entry.passed == passed, (s, kite)
+                tally[is_native(kite), len(kite.zigzag_sails()), passed] += 1
+        assert tally == {
+            (True, 1, True): 665,
+            (False, 1, True): 56,
+            (False, 1, False): 168,
+            (False, 0, False): 168,
+            (False, 4, False): 56,
+        }
 
     def test_failures_carry_counterexamples(self):
         # the doubly-high strut region at n=6 genuinely breaks the pattern;

@@ -123,6 +123,8 @@ GOLDEN = {
     },
     # the dear n = 7 tier: 847 kites, mostly non-native
     RenderSpec("tripsync", n=7, s_values=(47,)): {
+        "markdown": "2f062c001d56d4ee4f1d0162377bcd4eb1649842cf4ae89bc8afd4b108c47f33",
+        "csv": "58c4f9ac3384d9794bcc553269d40c90a638ff2f8770edad4ada413c81ad4e47",
         "json": "25e5a959a442182a0a6019a8cf4cf1358d28d3aaa7c2fc174eb736e211a229c4",
     },
     RenderSpec("tripsync", n=7, s_values=(6,)): {

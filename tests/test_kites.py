@@ -224,6 +224,18 @@ class TestStrutTable:
         with pytest.raises(ValueError, match=r"^vertex D = \(4,14\) does not carry X = 9$"):
             BoxKite(4, 1, tuple(vertices), kite.edge_signs)
 
+    @pytest.mark.parametrize("shell, message", [
+        # five vertices and three signs: str() of such a kite raised IndexError
+        (lambda k: (k.vertices[:5], k.edge_signs[:3]), "^a box-kite has 6 vertices, not 5$"),
+        (lambda k: (k.vertices, tuple(-x for x in k.edge_signs)), "are not those of the vertices"),
+        (lambda k: (k.vertices, (5,) * 12), "are not those of the vertices"),
+    ], ids=["five-vertices", "every-sign-flipped", "signs-of-5"])
+    def test_constructor_refuses_a_hand_built_shell(self, shell, message):
+        kite = bk1()
+        with pytest.raises(ValueError, match=message):
+            BoxKite(4, 1, *shell(kite))
+        assert BoxKite(4, 1, kite.vertices, kite.edge_signs) == kite
+
     @pytest.mark.parametrize("n, s, message", [
         # X(4, 20) = 28 is the X of (5, 12): an s out of range is refused first
         (4, 20, "strut constants at dimension 16 lie strictly between 0 and 8$"),
@@ -327,8 +339,13 @@ class TestSails:
         signs = list(bk.edge_signs)
         bc = EDGE_LETTER_PAIRS.index(("B", "C"))
         signs[bc] = -signs[bc]
+        with pytest.raises(ValueError, match="are not those of the vertices"):
+            BoxKite(bk.n, bk.s, bk.vertices, tuple(signs))
+        # the constructor refuses that kite, so doctor a built one to reach
+        # the walk's own check
+        object.__setattr__(bk, "edge_signs", tuple(signs))
         with pytest.raises(AssertionError, match="is not zero"):
-            tray_racks(BoxKite(bk.n, bk.s, bk.vertices, tuple(signs)))
+            tray_racks(bk)
 
 
 class TestTrayRacks:
