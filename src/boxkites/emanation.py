@@ -206,17 +206,16 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The tally of a sweep: its kites and the failing ones among them."""
+
     n: int
     s_values: tuple[int, ...]
-    entries: tuple[SweepEntry, ...]
+    kite_count: int
+    failures: int
 
     @property
     def all_passed(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    @property
-    def kite_count(self) -> int:
-        return len(self.entries)
+        return not self.failures
 
 
 def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
@@ -267,17 +266,38 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
         yield SweepEntry(s, lows[:3], not counterexamples, tuple(counterexamples))
 
 
+class _Sweep:
+    """One pass over the kites of a sweep, s by s.  Iterating yields their
+    entries, only the failing ones when ``failures_only``; once all are
+    read, ``report`` holds the tally of every kite.  No entry is kept."""
+
+    def __init__(self, n: int, s_values: tuple[int, ...], failures_only: bool = False):
+        self.n, self.s_values, self.failures_only, self.report = n, s_values, failures_only, None
+
+    def __iter__(self) -> Iterator[SweepEntry]:
+        kites = failures = 0
+        for s in self.s_values:
+            for entry in sweep_entries(self.n, s):
+                kites += 1
+                if not entry.passed:
+                    failures += 1
+                elif self.failures_only:
+                    continue
+                yield entry
+        self.report = SweepReport(self.n, self.s_values, kites, failures)
+
+
 def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
     """Check the trip-synchronization pattern on every kite of every s.
 
-    Makes no claim beyond the swept range; failures carry the offending
-    triples so they can be replayed.  It returns every entry, about 210 MB
-    at n = 8; a caller that needs only the verdicts should fold over
-    ``sweep_entries`` for each s, as the CLI does.
+    Makes no claim beyond the swept range.  It keeps the tally alone, so its
+    memory does not grow with the level; each kite's verdict, with the
+    triples that break it, comes from ``sweep_entries`` for its s.
     """
-    s_values = sweep_range(n, s_values)
-    entries = tuple(entry for s in s_values for entry in sweep_entries(n, s))
-    return SweepReport(n, s_values, entries)
+    sweep = _Sweep(n, sweep_range(n, s_values))
+    for _ in sweep:  # read through for the tally alone
+        pass
+    return sweep.report
 
 
 @dataclass(frozen=True)

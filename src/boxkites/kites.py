@@ -243,10 +243,10 @@ class Sail:
 class BoxKite:
     """Octahedron of six assessors with computed zero-divisor edge signs.
 
-    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s),
-    and each of the 12 edge signs is ``edge_sign`` of its ends (``blade_sign``,
-    as a sign table holds one level only); a kite is refused at construction
-    otherwise, and when n is below the sedenions or s is no strut constant.
+    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s);
+    each of the 12 edges carries a zero divisor, of the sign ``edge_sign`` gives
+    (``blade_sign``, as a sign table holds one level only).  A kite is refused
+    at construction otherwise, and when n is below the sedenions or s is no strut constant.
     """
 
     n: int
@@ -264,6 +264,9 @@ class BoxKite:
             if v.x != x:
                 raise ValueError(f"vertex {letter} = {v} does not carry X = {x}")
         signs = tuple(edge_sign(self.vertices[i], self.vertices[j]) for i, j in _EDGE_ENDS)
+        if None in signs:
+            p, q = EDGE_LETTER_PAIRS[signs.index(None)]
+            raise ValueError(f"edge {p}-{q} carries no zero divisor")
         if self.edge_signs != signs:
             raise ValueError(f"edge signs {self.edge_signs} are not those of the vertices, {signs}")
 
@@ -277,13 +280,11 @@ class BoxKite:
         if sorted(vertex_map) != sorted(LETTERS):
             raise ValueError(f"vertex map must cover letters {LETTERS}")
         signs = tuple(edge_sign(vertex_map[p], vertex_map[q]) for p, q in EDGE_LETTER_PAIRS)
-        if None in signs:
-            p, q = EDGE_LETTER_PAIRS[signs.index(None)]
-            raise ValueError(f"edge {p}-{q} carries no zero divisor")
+        kite = cls(n, s, tuple(vertex_map[p] for p in LETTERS), signs)
         for p, q in STRUT_LETTER_PAIRS:
             if edge_sign(vertex_map[p], vertex_map[q]) is not None:
                 raise ValueError(f"strut {p}-{q} carries a zero divisor")
-        return cls(n, s, tuple(vertex_map[p] for p in LETTERS), signs)
+        return kite
 
     def vertex(self, letter: str) -> Assessor:
         return self.vertices[LETTERS.index(letter)]

@@ -22,9 +22,7 @@ from itertools import chain
 from math import comb
 from typing import Callable
 
-from .emanation import (
-    CensusReport, SweepEntry, _box_kites, _kite_lows, census, sweep_entries, sweep_range, zd_graph,
-)
+from .emanation import CensusReport, _box_kites, _kite_lows, _Sweep, census, sweep_range, zd_graph
 from .fixtures import PATHION_CENSUS_CLAIMS
 from .kites import (
     EDGE_LETTER_PAIRS,
@@ -51,7 +49,7 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes about 3.5 s, its trip-sync sweep about 18 s written out).
+# census takes 3.3-3.7 s, its trip-sync sweep about 7 s written out as JSON).
 # Its 127 x 7,875 = 1,000,125 assessor pairs bound the search of every
 # request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8
@@ -335,22 +333,12 @@ _TRIP_JSON = "        [\n          %d,\n          %d,\n          %d\n        ]"
 
 def _sweep_text(spec: RenderSpec) -> Iterator[str]:
     """The tripsync text in chunks, each written as soon as its kite is found."""
-    count, all_passed = 0, True
-
-    def shown() -> Iterator[SweepEntry]:
-        nonlocal count, all_passed
-        for s in spec.s_values:
-            for entry in sweep_entries(spec.n, s):
-                count += 1
-                all_passed = all_passed and entry.passed
-                if not (spec.failures_only and entry.passed):
-                    yield entry
-
+    sweep = _Sweep(spec.n, spec.s_values, spec.failures_only)
     if spec.format == "json":
         s_values = ",\n".join(f"    {s}" for s in spec.s_values)  # never empty
         yield f'{{\n  "n": {spec.n},\n  "s_values": [\n{s_values}\n  ],\n  "kites": ['
         separator = "\n"
-        for entry in shown():
+        for entry in sweep:
             trips = ",\n".join([_TRIP_JSON % trip for trip in entry.counterexamples])
             yield separator + _KITE_JSON % (
                 entry.s, *entry.abc_lows, "true" if entry.passed else "false",
@@ -358,9 +346,9 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
             )
             separator = ",\n"
         tail = "]" if separator == "\n" else "\n  ]"
-        tail += f',\n  "all_passed": {"true" if all_passed else "false"}'
+        tail += f',\n  "all_passed": {"true" if sweep.report.all_passed else "false"}'
         if spec.failures_only:
-            tail += f',\n  "kite_count": {count}'
+            tail += f',\n  "kite_count": {sweep.report.kite_count}'
         yield tail + "\n}\n"
         return
     rows = (
@@ -370,10 +358,11 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
             "pass" if entry.passed else "FAIL",
             "; ".join(_joined(t) for t in entry.counterexamples),
         ]
-        for entry in shown()
+        for entry in sweep
     )
     yield from _TABLES[spec.format](["s", "ABC", "trip-sync", "counterexamples"], rows)
-    yield f"overall: {'pass' if all_passed else 'FAIL'} over {count} kites\n"
+    report = sweep.report
+    yield f"overall: {'pass' if report.all_passed else 'FAIL'} over {report.kite_count} kites\n"
 
 
 # ---------------------------------------------------------------- registry

@@ -483,28 +483,18 @@ def _section_census() -> Iterator[CheckResult]:
 
 
 def _section_tripsync() -> Iterator[CheckResult]:
-    sweep4, kites4 = trip_sync_sweep(4), len(fixtures.STRUT_TABLE)
-    yield _check(
-        "tripsync/n4",
-        f"trip synchronization holds on all {kites4} sedenion kites",
-        (kites4, True), (sweep4.kite_count, sweep4.all_passed),
-    )
-    sweep5, kites5 = trip_sync_sweep(5), fixtures.PATHION_CENSUS_CLAIMS["arithmetic_total"]
-    yield _check(
-        "tripsync/n5",
-        f"trip synchronization holds on all {kites5} pathion kites",
-        (kites5, True), (sweep5.kite_count, sweep5.all_passed),
-    )
-    sample = list(range(1, 9)) + [17]
-    sweep6 = trip_sync_sweep(6, sample)
-    # No fixture holds n = 6 counts, and census(6) would add about 11 ms to
-    # a whole run of about 50 ms (Python 3.11, 2 cores), so the sample's 35
+    # No fixture holds n = 6 counts, and census(6) would add 12-20 ms to a
+    # whole run of 50-85 ms (Python 3.11, 2 cores), so the sample's 35
     # kites per s <= 8 and 7 at s = 17 are written here.
-    yield _check(
-        "tripsync/n6-sample",
-        "trip synchronization holds at n=6 for s in 1..8 and 17",
-        (8 * 35 + 7, True), (sweep6.kite_count, sweep6.all_passed),
-    )
+    kites4, kites5 = len(fixtures.STRUT_TABLE), fixtures.PATHION_CENSUS_CLAIMS["arithmetic_total"]
+    for check_id, claim, kites, sweep in (
+        ("n4", f"holds on all {kites4} sedenion kites", kites4, trip_sync_sweep(4)),
+        ("n5", f"holds on all {kites5} pathion kites", kites5, trip_sync_sweep(5)),
+        ("n6-sample", "holds at n=6 for s in 1..8 and 17", 8 * 35 + 7,
+         trip_sync_sweep(6, list(range(1, 9)) + [17])),
+    ):
+        yield _check(f"tripsync/{check_id}", f"trip synchronization {claim}",
+                     (kites, True), (sweep.kite_count, sweep.all_passed))
 
 
 SECTION_RUNNERS: dict[str, Callable[[], Iterator[CheckResult]]] = {

@@ -6,7 +6,7 @@ The few claims only this gate makes are asserted directly in their test.
 Each test prints a single pass line so a -v run reads as a criterion report.
 """
 
-from boxkites.emanation import census, trip_sync_sweep
+from boxkites.emanation import census, sweep_entries, trip_sync_sweep
 from boxkites.fixtures import O_TRIPS, PATHION_CENSUS_CLAIMS, S_TRIPS
 from boxkites.kites import automorpheme
 from boxkites.loops import check_identity, loop_closure
@@ -103,12 +103,15 @@ def test_criterion_12_trip_sync_sweep():
     # the conjecture is not decided here; the deliverable is the report.
     # in the doubly-high strut region the pattern genuinely fails, and every
     # failure must carry reproducible counterexample trips
-    edge_case = trip_sync_sweep(6, [25])
-    failures = [e for e in edge_case.entries if not e.passed]
+    edge_case = list(sweep_entries(6, 25))
+    failures = [e for e in edge_case if not e.passed]
     assert failures
     for entry in failures:
         assert entry.counterexamples
         for a, b, c in entry.counterexamples:
             assert a ^ b == c  # a genuine triple whose orientation broke the pattern
-    assert trip_sync_sweep(6, [25]) == edge_case  # reproducible
+    report = trip_sync_sweep(6, [25])
+    assert (report.kite_count, report.failures) == (len(edge_case), len(failures))
+    assert list(sweep_entries(6, 25)) == edge_case  # reproducible, kite for kite
+    assert trip_sync_sweep(6, [25]) == report
     accept(12)

@@ -360,11 +360,22 @@ class TestDeterminism:
         assert cmd_emit(spec) == cmd_emit(spec)
 
 
-def materialised_sweep(spec, report=None):
+def swept_entries(report):
+    """Every entry of the report's sweep, s by s, from ``sweep_entries``; the
+    report's tally is checked against them."""
+    entries = [e for s in report.s_values for e in emanation.sweep_entries(report.n, s)]
+    assert report.kite_count == len(entries)
+    assert report.failures == sum(not e.passed for e in entries)
+    return entries
+
+
+def materialised_sweep(spec, report=None, entries=None):
     """The tripsync text rendered whole: the sweep as one payload, laid out
     by ``json.dumps`` or the table renderers."""
     if report is None:
         report = emanation.trip_sync_sweep(spec.n, spec.s_values or None)
+    if entries is None:
+        entries = swept_entries(report)
     kites = [
         {
             "s": entry.s,
@@ -372,7 +383,7 @@ def materialised_sweep(spec, report=None):
             "passed": entry.passed,
             "counterexamples": [list(t) for t in entry.counterexamples],
         }
-        for entry in report.entries
+        for entry in entries
         if not (spec.failures_only and entry.passed)
     ]
     payload = {"n": report.n, "s_values": list(report.s_values), "kites": kites,
@@ -408,11 +419,12 @@ class TestSweepStream:
             requests.append(())  # the whole level: kites of many s in one list
         for s_values in requests:
             report = emanation.trip_sync_sweep(n, s_values or None)
+            entries = swept_entries(report)
             for fmt in ("json", "markdown", "csv"):
                 for failures_only in (False, True):
                     spec = RenderSpec("tripsync", fmt, n=n, s_values=s_values,
                                       failures_only=failures_only)
-                    assert cmd_emit(spec) == materialised_sweep(spec, report), spec
+                    assert cmd_emit(spec) == materialised_sweep(spec, report, entries), spec
 
     def test_all_passing_failures_only_lists_no_kites(self):
         spec = RenderSpec("tripsync", "json", n=5, failures_only=True)
@@ -428,7 +440,7 @@ class TestSweepStream:
             swept.append(s)
             return fused(n, s)
 
-        monkeypatch.setattr(render, "sweep_entries", counted)
+        monkeypatch.setattr(emanation, "sweep_entries", counted)
         chunks = iter(render.emit_chunks(RenderSpec("tripsync", "json", n=6)))
         assert next(chunks).startswith('{\n  "n": 6,')
         assert next(chunks).startswith('\n    {\n      "s": 1,')

@@ -652,6 +652,37 @@ class TestSweep:
         assert report.kite_count == 3
         assert report.all_passed
 
+    @pytest.mark.parametrize("n, tally", [(6, (1113, 392)), (7, (19313, 12824))], ids=["6", "7"])
+    def test_whole_level_tally(self, n, tally):
+        # (kites, failing kites) of every s, as literal data
+        report = trip_sync_sweep(n)
+        assert (report.kite_count, report.failures) == tally
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_tally_counts_the_entries(self, n):
+        per_s = census(n).per_s
+        for s in range(1, 1 << (n - 1)):
+            report = trip_sync_sweep(n, [s])
+            entries = list(emanation.sweep_entries(n, s))
+            failures = sum(not e.passed for e in entries)
+            assert (report.kite_count, report.failures) == (len(entries), failures), s
+            assert report.all_passed == (failures == 0), s
+            assert report.kite_count == per_s[s], s
+
+    def test_sweep_keeps_no_entry(self):
+        # the tally alone is kept: the traced peak over all 1,113 kites of
+        # n = 6 stays near one s's graph (about 60 KB; 380 KB with every entry)
+        trip_sync_sweep(6, [1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trip_sync_sweep(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 17, peak
+
     def test_deterministic_and_order_independent(self):
         forward = trip_sync_sweep(5, [1, 8, 9])
         backward = trip_sync_sweep(5, [9, 8, 1])
@@ -700,9 +731,11 @@ class TestSweep:
     def test_failures_carry_counterexamples(self):
         # the doubly-high strut region at n=6 genuinely breaks the pattern;
         # every reported failure must carry reproducible counterexample trips
-        report = trip_sync_sweep(6, [25])
-        failures = [e for e in report.entries if not e.passed]
+        entries = list(emanation.sweep_entries(6, 25))
+        failures = [e for e in entries if not e.passed]
         assert failures, "expected counterexample kites at n=6, s=25"
+        report = trip_sync_sweep(6, [25])
+        assert (report.kite_count, report.failures) == (len(entries), len(failures))
         for entry in failures:
             assert entry.counterexamples
             for a, b, c in entry.counterexamples:

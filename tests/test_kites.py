@@ -151,6 +151,15 @@ class TestEdgeSignClosedForm:
             edge_sign(Assessor(4, 3, 10), Assessor(5, 3, 26))
 
 
+def b_and_f_swapped(kite):
+    """The kite's vertices with B and F swapped, and the signs they give: A-B
+    and E-F are struts now, so (None, -1, ..., None) on kite I."""
+    v = kite.vertices
+    vertices = (v[0], v[5], *v[2:5], v[1])
+    return vertices, tuple(edge_sign(*(vertices[LETTERS.index(p)] for p in pair))
+                           for pair in EDGE_LETTER_PAIRS)
+
+
 class TestStrutTable:
     def test_all_rows(self):
         for s, row in STRUT_TABLE.items():
@@ -229,7 +238,9 @@ class TestStrutTable:
         (lambda k: (k.vertices[:5], k.edge_signs[:3]), "^a box-kite has 6 vertices, not 5$"),
         (lambda k: (k.vertices, tuple(-x for x in k.edge_signs)), "are not those of the vertices"),
         (lambda k: (k.vertices, (5,) * 12), "are not those of the vertices"),
-    ], ids=["five-vertices", "every-sign-flipped", "signs-of-5"])
+        # its sails' kind raised TypeError on a None sign
+        (b_and_f_swapped, "^edge A-B carries no zero divisor$"),
+    ], ids=["five-vertices", "every-sign-flipped", "signs-of-5", "b-and-f-swapped"])
     def test_constructor_refuses_a_hand_built_shell(self, shell, message):
         kite = bk1()
         with pytest.raises(ValueError, match=message):
