@@ -16,11 +16,9 @@ from itertools import combinations
 
 from .algebra import TripIndices, sign_table
 from .kites import (
-    LETTERS,
     SYNC_SAILS,
     Assessor,
     BoxKite,
-    _EDGE_ENDS,
     _strut_x,
     assessor_lows,
     assessors_for_strut,
@@ -146,9 +144,7 @@ def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
 
 def _label_kite(graph: ZDGraph, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
     """The box-kite whose letters A to F have these lows, by ``vertex``'s assessors."""
-    signs = graph.signs
-    edge_signs = tuple(signs[tuple(sorted((lows[i], lows[j])))] for i, j in _EDGE_ENDS)
-    return BoxKite(graph.n, graph.s, tuple(map(vertex.__getitem__, lows)), edge_signs)
+    return BoxKite(graph.n, graph.s, tuple(map(vertex.__getitem__, lows)))
 
 
 def _box_kites(n: int, s: int) -> Iterator[BoxKite]:
@@ -190,10 +186,7 @@ def pathion_lift(bk: BoxKite) -> BoxKite:
     if bk.n != 4:
         raise ValueError("lift starts from a sedenion box-kite")
     x = _strut_x(5, bk.s)
-    vertex_map = {
-        letter: Assessor(5, v.o, v.o ^ x) for letter, v in zip(LETTERS, bk.vertices)
-    }
-    return BoxKite.assemble(5, bk.s, vertex_map)
+    return BoxKite(5, bk.s, tuple(Assessor(5, v.o, v.o ^ x) for v in bk.vertices))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,8 @@ whose three antipodal pairs (struts) carry none.
 X is computed from (n, s) here alone, by ``_strut_x``; ``Assessor.s`` is its
 inverse.  A ``BoxKite`` of (n, s) refuses, however it is built, any vertex
 whose X is not X(n, s); as X lies between 2^(n-1) and 2^n, that also
-refuses a vertex of another level.
+refuses a vertex of another level.  Its constructor alone computes a kite's
+12 edge signs and checks its 3 struts, 15 ``edge_sign`` calls per kite.
 
 Vertex letters: F, E, D sit at the opposite ends of the struts from A, B,
 C respectively, and (a, b, c), the low indices of A, B, C, is a positively
@@ -27,7 +28,7 @@ signs alone decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -51,8 +52,9 @@ STRUT_LETTER_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
 EDGE_LETTER_PAIRS = tuple(
     pair for pair in combinations(LETTERS, 2) if pair not in STRUT_LETTER_PAIRS
 )
-# The letter indices of each edge's ends, in ``EDGE_LETTER_PAIRS`` order.
+# The letter indices of each edge's and each strut's ends, in their pairs' order.
 _EDGE_ENDS = tuple(tuple(map(LETTERS.index, pair)) for pair in EDGE_LETTER_PAIRS)
+_STRUT_ENDS = tuple(tuple(map(LETTERS.index, pair)) for pair in STRUT_LETTER_PAIRS)
 # Each edge's position in ``BoxKite.edge_signs``, under both spellings.
 _EDGE_POSITION = {
     pair: i for i, (p, q) in enumerate(EDGE_LETTER_PAIRS) for pair in ((p, q), (q, p))
@@ -241,18 +243,18 @@ class Sail:
 
 @dataclass(frozen=True)
 class BoxKite:
-    """Octahedron of six assessors with computed zero-divisor edge signs.
+    """Octahedron of six assessors, checked here alone however it is built.
 
-    Every vertex carries X = 2^(n-1) + s, so all six are assessors of (n, s);
-    each of the 12 edges carries a zero divisor, of the sign ``edge_sign`` gives
-    (``blade_sign``, as a sign table holds one level only).  A kite is refused
-    at construction otherwise, and when n is below the sedenions or s is no strut constant.
+    Every vertex carries X = 2^(n-1) + s; each of the 12 edges carries a zero
+    divisor, its sign from ``edge_sign`` (``blade_sign``, as a sign table holds one
+    level only) kept in ``edge_signs``, and none of the 3 struts does.  A kite is
+    refused otherwise, and when n is below the sedenions or s is no strut constant.
     """
 
     n: int
     s: int
     vertices: tuple[Assessor, Assessor, Assessor, Assessor, Assessor, Assessor]
-    edge_signs: tuple[int, ...]  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
+    edge_signs: tuple[int, ...] = field(init=False)  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
 
     def __post_init__(self) -> None:
         check_level(self.n)
@@ -267,24 +269,18 @@ class BoxKite:
         if None in signs:
             p, q = EDGE_LETTER_PAIRS[signs.index(None)]
             raise ValueError(f"edge {p}-{q} carries no zero divisor")
-        if self.edge_signs != signs:
-            raise ValueError(f"edge signs {self.edge_signs} are not those of the vertices, {signs}")
+        for i, j in _STRUT_ENDS:
+            if edge_sign(self.vertices[i], self.vertices[j]) is not None:
+                raise ValueError(f"strut {LETTERS[i]}-{LETTERS[j]} carries a zero divisor")
+        object.__setattr__(self, "edge_signs", signs)
 
     @classmethod
     def assemble(cls, n: int, s: int, vertex_map: dict[str, Assessor]) -> "BoxKite":
-        """Build from a letter -> assessor map, computing and checking edges.
-
-        The twelve non-strut pairs must each carry a zero-divisor pairing and
-        the three struts must carry none; anything else is rejected.
-        """
+        """Build from a letter -> assessor map covering A to F; the
+        constructor checks the kite."""
         if sorted(vertex_map) != sorted(LETTERS):
             raise ValueError(f"vertex map must cover letters {LETTERS}")
-        signs = tuple(edge_sign(vertex_map[p], vertex_map[q]) for p, q in EDGE_LETTER_PAIRS)
-        kite = cls(n, s, tuple(vertex_map[p] for p in LETTERS), signs)
-        for p, q in STRUT_LETTER_PAIRS:
-            if edge_sign(vertex_map[p], vertex_map[q]) is not None:
-                raise ValueError(f"strut {p}-{q} carries a zero divisor")
-        return kite
+        return cls(n, s, tuple(vertex_map[p] for p in LETTERS))
 
     def vertex(self, letter: str) -> Assessor:
         return self.vertices[LETTERS.index(letter)]
@@ -333,8 +329,8 @@ def build_box_kite(s: int) -> BoxKite:
     assessors = {a.o: a for a in assessors_for_strut(s)}
     pairs = sorted({tuple(sorted((o, o ^ s))) for o in assessors})
     abc = aso_form([y if trip_orientation(s, x, y) > 0 else x for x, y in pairs])
-    lows = zip("ABCFED", abc + tuple(o ^ s for o in abc))
-    return BoxKite.assemble(4, s, {letter: assessors[o] for letter, o in lows})
+    lows = abc + tuple(o ^ s for o in reversed(abc))  # A, B, C, then D, E, F
+    return BoxKite(4, s, tuple(assessors[o] for o in lows))
 
 
 def _zero_product_walk(vertices, signs, start: Diagonal, steps: int) -> list[Diagonal]:

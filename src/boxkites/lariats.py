@@ -19,9 +19,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
-from .kites import LETTERS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail, _strut_x, slot_trips
+from .kites import (LETTERS, STRUT_LETTER_PAIRS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail,
+                    _strut_x, slot_trips)
 
-STRUT_SYMBOLS = {"AF": ("F", "a", "f", "A"), "BE": ("E", "b", "e", "B"), "CD": ("D", "c", "d", "C")}
+# Each strut p-q's diagonals in yard order: q slash, p and q backslash, p slash.
+STRUT_SYMBOLS = {p + q: (q, p.lower(), q.lower(), p) for p, q in STRUT_LETTER_PAIRS}
 
 # The four units, then each strut's diagonals.
 YARD_SYMBOLS = ("R", "8", "X", "S") + sum(STRUT_SYMBOLS.values(), ())

@@ -624,6 +624,16 @@ class TestVerifyCommand:
         assert [run.returncode for run in runs] == [0, 0]
         assert outputs[0] == outputs[1]
 
+    def test_package_runs_as_a_module(self, capsys):
+        # python -m boxkites, from a checkout, is the command line itself
+        src = str(Path(boxkites.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "boxkites", "verify", "--sections", "trips"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert main(["verify", "--sections", "trips"]) == 0
+        assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)
+
     def test_all_sections_listed(self):
         assert set(SECTIONS) == {
             "trips", "fabric", "strut-table", "edge-signs", "loops",

@@ -27,6 +27,7 @@ from boxkites.fixtures import (
     PATHION_S9_KITES,
 )
 from boxkites.kites import (
+    EDGE_LETTER_PAIRS,
     LETTERS,
     Assessor,
     BoxKite,
@@ -255,7 +256,7 @@ class TestSignTableUse:
         stray = Assessor(4, kite.vertices[0].o, kite.vertices[0].o ^ 10)  # X = 10, not 9
         # refused when built, so trip_sync_report never meets it
         with pytest.raises(ValueError, match="vertex A = \\(3,9\\) does not carry X = 9"):
-            BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
+            BoxKite(4, 1, (stray,) + kite.vertices[1:])
 
 
 class TestFindBoxKites:
@@ -412,13 +413,14 @@ class TestFindBoxKites:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_graph_signs_agree_with_validating_constructor(self, n):
-        # kites are built from the graph's signs; BoxKite.assemble recomputes
-        # and checks all fifteen pairs from the same letter map
+        # the search's graph reads the sign table; each kite's constructor
+        # computes its 12 edge signs with edge_sign
         for s in range(1, 1 << (n - 1)):
+            signs = zd_graph(n, s).signs
             for kite in find_box_kites(n, s):
-                rebuilt = BoxKite.assemble(n, s, {p: kite.vertex(p) for p in LETTERS})
-                assert rebuilt.vertices == kite.vertices, (s, kite)
-                assert rebuilt.edge_signs == kite.edge_signs, (s, kite)
+                graph_signs = tuple(signs[tuple(sorted((kite.vertex(p).o, kite.vertex(q).o)))]
+                                    for p, q in EDGE_LETTER_PAIRS)
+                assert kite.edge_signs == graph_signs, (s, kite)
 
     def test_every_searched_candidate_is_a_kite(self, monkeypatch):
         labelled = []
@@ -580,6 +582,7 @@ class TestCensus:
 
         monkeypatch.setattr(emanation, "_label_kite", refuse)
         monkeypatch.setattr(BoxKite, "assemble", classmethod(refuse))
+        monkeypatch.setattr(BoxKite, "__post_init__", refuse)
         assert census(6).total == 1113
 
     def test_census_retains_nothing(self):

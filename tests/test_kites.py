@@ -17,7 +17,8 @@ from boxkites.fixtures import (
     TRIGRAM_UNSWITCHED,
 )
 from boxkites.algebra import hc_mul, trip_orientation
-from boxkites.emanation import find_box_kites
+from boxkites import kites
+from boxkites.emanation import find_box_kites, pathion_lift
 from boxkites.kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
@@ -36,6 +37,7 @@ from boxkites.kites import (
     tray_racks,
     trigram_code,
 )
+from boxkites.render import box_kite_payload, parse_box_kite
 
 
 def bk1():
@@ -152,12 +154,9 @@ class TestEdgeSignClosedForm:
 
 
 def b_and_f_swapped(kite):
-    """The kite's vertices with B and F swapped, and the signs they give: A-B
-    and E-F are struts now, so (None, -1, ..., None) on kite I."""
+    """The kite's vertices with B and F swapped: A-B and E-F are struts now."""
     v = kite.vertices
-    vertices = (v[0], v[5], *v[2:5], v[1])
-    return vertices, tuple(edge_sign(*(vertices[LETTERS.index(p)] for p in pair))
-                           for pair in EDGE_LETTER_PAIRS)
+    return (v[0], v[5], *v[2:5], v[1])
 
 
 class TestStrutTable:
@@ -231,21 +230,41 @@ class TestStrutTable:
         vertices = list(kite.vertices)
         vertices[3] = Assessor(4, 4, 4 ^ 10)  # D of (4, 2), not (4, 1)
         with pytest.raises(ValueError, match=r"^vertex D = \(4,14\) does not carry X = 9$"):
-            BoxKite(4, 1, tuple(vertices), kite.edge_signs)
+            BoxKite(4, 1, tuple(vertices))
 
     @pytest.mark.parametrize("shell, message", [
-        # five vertices and three signs: str() of such a kite raised IndexError
-        (lambda k: (k.vertices[:5], k.edge_signs[:3]), "^a box-kite has 6 vertices, not 5$"),
-        (lambda k: (k.vertices, tuple(-x for x in k.edge_signs)), "are not those of the vertices"),
-        (lambda k: (k.vertices, (5,) * 12), "are not those of the vertices"),
+        # five vertices: str() of such a kite raised IndexError
+        (lambda k: (4, 1, k.vertices[:5]), "^a box-kite has 6 vertices, not 5$"),
         # its sails' kind raised TypeError on a None sign
-        (b_and_f_swapped, "^edge A-B carries no zero divisor$"),
-    ], ids=["five-vertices", "every-sign-flipped", "signs-of-5", "b-and-f-swapped"])
+        (lambda k: (4, 1, b_and_f_swapped(k)), "^edge A-B carries no zero divisor$"),
+        # n = 5, s = 1: lows with no two XORing to 1 are pairwise adjacent,
+        # so every strut of this octahedron carries a zero divisor
+        (lambda k: (5, 1, tuple(Assessor(5, o, o ^ 17) for o in (2, 4, 6, 8, 10, 12))),
+         "^strut A-F carries a zero divisor$"),
+    ], ids=["five-vertices", "b-and-f-swapped", "clique"])
     def test_constructor_refuses_a_hand_built_shell(self, shell, message):
         kite = bk1()
         with pytest.raises(ValueError, match=message):
-            BoxKite(4, 1, *shell(kite))
-        assert BoxKite(4, 1, kite.vertices, kite.edge_signs) == kite
+            BoxKite(*shell(kite))
+        assert BoxKite(4, 1, kite.vertices) == kite
+
+    @pytest.mark.parametrize("build, kites_built", [
+        (lambda: [build_box_kite(s) for s in range(1, 8)], 7),
+        (lambda: [pathion_lift(build_box_kite(s)) for s in range(1, 8)], 14),
+        (lambda: [parse_box_kite(box_kite_payload(bk1()))], 2),
+        (lambda: find_box_kites(6, 25), 87),
+    ], ids=["build_box_kite", "pathion_lift", "parse_box_kite", "find_box_kites"])
+    def test_each_kite_makes_fifteen_edge_sign_calls(self, build, kites_built, monkeypatch):
+        # the constructor's 12 edges and 3 struts, however the kite is built
+        calls = []
+
+        def counted(a1, a2):
+            calls.append((a1, a2))
+            return edge_sign(a1, a2)
+
+        monkeypatch.setattr(kites, "edge_sign", counted)
+        build()
+        assert len(calls) == 15 * kites_built
 
     @pytest.mark.parametrize("n, s, message", [
         # X(4, 20) = 28 is the X of (5, 12): an s out of range is refused first
@@ -255,7 +274,7 @@ class TestStrutTable:
     def test_constructor_refuses_a_level_or_strut_constant_out_of_range(self, n, s, message):
         kite = find_box_kites(5, 12)[0]
         with pytest.raises(ValueError, match=message):
-            BoxKite(n, s, kite.vertices, kite.edge_signs)
+            BoxKite(n, s, kite.vertices)
 
     def test_edge_letter_pairs(self):
         assert len(EDGE_LETTER_PAIRS) == len(set(EDGE_LETTER_PAIRS)) == 12
@@ -350,9 +369,7 @@ class TestSails:
         signs = list(bk.edge_signs)
         bc = EDGE_LETTER_PAIRS.index(("B", "C"))
         signs[bc] = -signs[bc]
-        with pytest.raises(ValueError, match="are not those of the vertices"):
-            BoxKite(bk.n, bk.s, bk.vertices, tuple(signs))
-        # the constructor refuses that kite, so doctor a built one to reach
+        # the constructor computes the signs, so doctor a built kite to reach
         # the walk's own check
         object.__setattr__(bk, "edge_signs", tuple(signs))
         with pytest.raises(AssertionError, match="is not zero"):

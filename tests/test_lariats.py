@@ -364,4 +364,4 @@ def test_kite_off_its_x_refused():
     kite = bk1()
     stray = Assessor(4, kite.vertices[0].o, kite.vertices[0].o ^ 10)  # X = 10, not 9
     with pytest.raises(ValueError, match="vertex A = \\(3,9\\) does not carry X = 9"):
-        BoxKite(4, 1, (stray,) + kite.vertices[1:], kite.edge_signs)
+        BoxKite(4, 1, (stray,) + kite.vertices[1:])
