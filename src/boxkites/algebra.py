@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 Scalar = int | Fraction
 
@@ -32,7 +32,10 @@ TripIndices = tuple[int, int, int]
 SignTable = tuple[bytes, ...]
 
 
-@cache
+# Holds every pair of indices below 128, so nothing through n = 7 (all of
+# ``run_verification``) is evicted, while a kite check at a high level keeps
+# the process small: find_box_kites(10, 1) caches 651,241 sub-calls unbounded.
+@lru_cache(maxsize=1 << 14)
 def blade_sign(a: int, b: int) -> int:
     """Sign of e_a * e_b, independent of the ambient dimension.
 

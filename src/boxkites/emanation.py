@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import TripIndices, sign_table
 from .kites import (
@@ -50,7 +49,8 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     """Every pairwise edge sign, by ``edge_rule`` on rows of the sign table.
 
     Its C(2^(n-1) - 2, 2) pair tests, about 4^n / 8 of four lookups each,
-    are work of the order of the table's 4^n bytes.
+    are work of the order of the table's 4^n bytes.  It is the source of the
+    DOT target and the reference for ``_adjacency``, which the search reads.
     """
     lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
     table, x = sign_table(n), _strut_x(n, s)
@@ -65,43 +65,106 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     return ZDGraph(n, s, signs)
 
 
-def _kite_struts(graph: ZDGraph):
-    """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite.
+# Row bytes of the XOR of four signs to adjacency bits: 0 (an edge) to "1".
+_EDGE_BITS = bytes.maketrans(b"\x00\x01", b"10")
 
-    Non-edges are bucketed by low XOR t.  Two cross-adjacent struts
-    {a, a^t} and {b, b^t} of one bucket fix the third as {a^b, a^b^t}; it
-    must come after the second in the bucket, be a non-edge, and be
-    adjacent to all four vertices of the first two.  The low s is never a
-    vertex, so no adjacency bit of it is set and a third strut on s fails
-    that last test.  Each kite is met once, its struts in bucket order.  On
-    the algebra's graphs only the order condition ever rejects (checked for
-    n <= 8, tested for n <= 7); the others keep the search exact on any graph.
+
+def _vertex_bits(n: int, s: int) -> int:
+    """The lows of the assessors of (n, s) as bits: every 0 < o < 2^(n-1) but s."""
+    return (1 << (1 << (n - 1))) - 2 & ~(1 << s)
+
+
+def _block_swaps(width: int, unit: int) -> list[tuple[int, int]]:
+    """For each bit k of an index below ``width``: the shift and mask that swap,
+    in an int of ``width`` fields of ``unit`` bits, field j with field j ^ 2^k."""
+    swaps, k = [], 1
+    while k < width:
+        mask, period = (1 << unit * k) - 1, 2 * unit * k  # k fields set, k clear, repeated
+        while period < unit * width:
+            mask |= mask << period
+            period *= 2
+        swaps.append((unit * k, mask))
+        k *= 2
+    return swaps
+
+
+def _adjacency(n: int, s: int) -> list[int]:
+    """Adjacency masks of ``zd_graph(n, s)``: bit b of element a is set iff
+    lows a and b carry an edge; elements 0 and s, never vertices, are 0.
+
+    From rows of the sign table T, a and b with highs A and B = b ^ X carry
+    an edge iff T[a][b] ^ T[A][B] ^ T[a][B] ^ T[A][b] is 0, and B lies at
+    2^(n-1) + (b ^ s).  So XOR rows a and A as ints of one byte per entry,
+    fold their high half onto the low half with its bytes permuted by
+    b -> b ^ s (one block swap per set bit of s), and the zero bytes are the
+    edges of a: 2^(n-1) - 2 big-int passes over 2^n bytes.  ``zd_graph`` is
+    the reference.
     """
-    signs = graph.signs
-    adjacency = [0] * (1 << (graph.n - 1))  # bit b of adjacency[a]: a-b is an edge
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations(assessor_lows(graph.s, graph.n), 2):
-        if (a, b) in signs:
-            adjacency[a] |= 1 << b
-            adjacency[b] |= 1 << a
-        else:
-            buckets.setdefault(a ^ b, []).append((a, b))
-    for bucket in buckets.values():
-        for e1, (u1, v1) in enumerate(bucket):
+    lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
+    table, x, half = sign_table(n), _strut_x(n, s), 1 << (n - 1)
+    swaps = [swap for k, swap in enumerate(_block_swaps(half, 8)) if s >> k & 1]
+    low_half, vertices = (1 << 8 * half) - 1, _vertex_bits(n, s)
+    adjacency = [0] * half
+    for a in lows:
+        rows = int.from_bytes(table[a], "little") ^ int.from_bytes(table[a ^ x], "little")
+        high = rows >> 8 * half
+        for shift, mask in swaps:
+            high = (high & mask) << shift | (high >> shift) & mask
+        edges = ((rows & low_half) ^ high).to_bytes(half, "big").translate(_EDGE_BITS)
+        adjacency[a] = int(edges, 2) & vertices & ~(1 << a)
+    return adjacency
+
+
+def _kite_struts(n: int, s: int, adjacency: list[int]):
+    """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite of the
+    graph on the lows of (n, s) with these adjacency masks.
+
+    Non-edges are bucketed by low XOR t, in order of their first pair
+    (a, b), a < b, in lexicographic order; a bucket holds the smaller lows.
+    Two cross-adjacent struts {a, a^t} and {b, b^t} of one bucket fix the
+    third as {a^b, a^b^t}; it must come after the second in the bucket, be a
+    non-edge, and be adjacent to all four vertices of the first two.  A
+    second strut is read only from the lows u with u and u^t both adjacent
+    to the first strut's two ends.  The low s is never a vertex, so no
+    adjacency bit of it is set and a third strut on s fails that last test.
+    Each kite is met once, its struts in bucket order.  On the algebra's
+    graphs only the order condition ever rejects (checked for n <= 8, tested
+    for n <= 7); the others keep the search exact on any graph.
+    """
+    vertices = _vertex_bits(n, s)
+    buckets: dict[int, list[int]] = {}
+    for a in assessor_lows(s, n):
+        later = vertices & ~adjacency[a] & -(2 << a)  # non-neighbours above a
+        while later:
+            b = (later & -later).bit_length() - 1
+            later &= later - 1
+            buckets.setdefault(a ^ b, []).append(a)
+    swaps = _block_swaps(1 << (n - 1), 1)
+    for t, bucket in buckets.items():
+        t_swaps = [swap for k, swap in enumerate(swaps) if t >> k & 1]
+        members = sum(1 << u for u in bucket)
+        for u1 in bucket:
+            v1 = u1 ^ t
             common1 = adjacency[u1] & adjacency[v1]
-            for u2, v2 in bucket[e1 + 1 :]:
-                if not ((common1 >> u2) & 1 and (common1 >> v2) & 1):
-                    continue
+            paired = common1
+            for shift, mask in t_swaps:
+                paired = (paired & mask) << shift | (paired >> shift) & mask
+            seconds = common1 & paired & members & -(2 << u1)
+            while seconds:
+                u2 = (seconds & -seconds).bit_length() - 1
+                seconds &= seconds - 1
+                v2 = u2 ^ t
                 u3, v3 = sorted((u1 ^ u2, u1 ^ v2))
-                if (u3, v3) <= (u2, v2) or (u3, v3) in signs:
+                if u3 <= u2 or (adjacency[u3] >> v3) & 1:
                     continue
                 common2 = common1 & adjacency[u2] & adjacency[v2]
                 if (common2 >> u3) & 1 and (common2 >> v3) & 1:
                     yield u1, v1, u2, v2, u3, v3
 
 
-def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
-    """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows).
+def _kite_lows(n: int, s: int, adjacency: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows),
+    of the graph on the lows of (n, s) with these adjacency masks.
 
     A, B, C take the sail the ``kites`` module names, its lows in ASO order
     (positive, smallest first): the least zigzag, all three edges "-", or
@@ -117,9 +180,9 @@ def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
     sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c), (a,B,C) and
     (A,b,C) are positive; (a,b,c) is positive by its order.
     """
-    table, x = sign_table(graph.n), _strut_x(graph.n, graph.s)
+    table, x = sign_table(n), _strut_x(n, s)
     keyed = []
-    for struts in _kite_struts(graph):
+    for struts in _kite_struts(n, s, adjacency):
         u1, v1, u2, v2 = struts[:4]
         zigzags, trefoils = [], []
         for p in (u1, v1):
@@ -142,17 +205,16 @@ def _kite_lows(graph: ZDGraph) -> Iterator[tuple[int, ...]]:
         yield a, b, c, c ^ t, b ^ t, a ^ t
 
 
-def _label_kite(graph: ZDGraph, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
-    """The box-kite whose letters A to F have these lows, by ``vertex``'s assessors."""
-    return BoxKite(graph.n, graph.s, tuple(map(vertex.__getitem__, lows)))
+def _label_kite(n: int, s: int, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
+    """The box-kite of (n, s) whose letters A to F have these lows, by ``vertex``'s assessors."""
+    return BoxKite(n, s, tuple(map(vertex.__getitem__, lows)))
 
 
 def _box_kites(n: int, s: int) -> Iterator[BoxKite]:
     """The box-kites of ``find_box_kites``, each built as it is read."""
-    graph = zd_graph(n, s)
-    vertex = {v.o: v for v in graph.assessors}
-    for lows in _kite_lows(graph):
-        yield _label_kite(graph, lows, vertex)
+    vertex = {v.o: v for v in assessors_for_strut(s, n)}
+    for lows in _kite_lows(n, s, _adjacency(n, s)):
+        yield _label_kite(n, s, lows, vertex)
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -240,9 +302,8 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     slot-1 low q and high Q.  Only a failing slot forms its triple; no kite
     is built.  ``lariats.trip_sync_report`` on the labelled kite is the reference.
     """
-    graph, table = zd_graph(n, s), sign_table(n)
-    x = _strut_x(n, s)
-    for lows in _kite_lows(graph):
+    adjacency, table, x = _adjacency(n, s), sign_table(n), _strut_x(n, s)
+    for lows in _kite_lows(n, s, adjacency):
         counterexamples = []
         for i, j, pq, p_big_q, big_p_q, big_pq in _SYNC_SLOTS:
             p, q = lows[i], lows[j]
@@ -295,18 +356,81 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """Box-kites per strut constant; ``sources`` maps each s to the s whose
+    search gave its count, s itself when s was searched."""
+
     n: int
-    per_s: dict
+    per_s: dict[int, int]
+    sources: dict[int, int]
 
     @property
     def total(self) -> int:
         return sum(self.per_s.values())
 
 
-def census(n: int) -> CensusReport:
-    """Box-kite count per strut constant, by exhaustive enumeration.
+def _linear(x: int, y: int, z: int) -> tuple[int, ...]:
+    """The images of 0..7 under the GF(2)-linear map sending 1, 2, 4 to x, y, z."""
+    return tuple((x if a & 1 else 0) ^ (y if a & 2 else 0) ^ (z if a & 4 else 0) for a in range(8))
 
-    Counts the strut triples the search meets; no kite is labelled or built.
+
+def _low_map(v: int) -> tuple[int, ...]:
+    """L_v on the low three bits of an index, as the images of 0..7: L_v(1) = v,
+    and 2 and 4 go to the least values that keep it invertible."""
+    y = min(set(range(1, 8)) - {v})
+    return _linear(v, y, min(set(range(1, 8)) - {v, y, v ^ y}))
+
+
+def _carrier(v: int) -> tuple[tuple[int, ...], bytes] | None:
+    """``_low_map(v)`` and the ``bytes.translate`` table that moves bit j of a
+    byte to bit L_v(j), or None unless L_v is linear, invertible and sends 1
+    to v.  With higher bits fixed, L_v then sends r = (s & ~7) | 1 to s."""
+    images = _low_map(v)
+    if images[1] != v or len(set(images)) != 8 or images != _linear(images[1], images[2], images[4]):
+        return None
+    bits = [0]  # the bytes below 2^j, then the same with bit j set, for j = 0 to 7
+    for j in range(8):
+        bits += [byte | 1 << images[j] for byte in bits]
+    return images, bytes(bits)
+
+
+def _carries(images: tuple[int, ...], bits: bytes, source: list[int], target: list[int]) -> bool:
+    """Whether the map L with these low images carries the edge relation with
+    adjacency ``source`` onto the one with ``target``: for every low a, the
+    mask of L(a) is the image under L of the mask of a, whose bits ``bits``
+    permutes a byte at a time."""
+    width = len(source) // 8
+    return all(
+        target[a & ~7 | images[a & 7]]
+        == int.from_bytes(mask.to_bytes(width, "little").translate(bits), "little")
+        for a, mask in enumerate(source)
+    )
+
+
+def census(n: int) -> CensusReport:
+    """Box-kite count per strut constant, by enumeration plus checked transport.
+
+    Each s whose low three bits v are 0 or 1 is searched; the search's strut
+    triples are counted and no kite is labelled or built.  Any other s takes
+    the count of r = (s & ~7) | 1 once ``_carries`` finds that L_v, fixing
+    the higher bits, maps the edge relation of r onto that of s on every low.
+    A kite is three non-edge struts of one low XOR, cross-adjacent, the lows
+    of two XOR-closing onto the third; a linear bijection keeping the
+    relation keeps all of that, so it maps the kites of r one to one onto
+    those of s.  An s whose check fails is searched instead.  Every check
+    has passed on every level run (n = 4 to 10), as it should: an octonion
+    automorphism permutes the units up to sign by a linear map of the low
+    three bits, extends through each doubling as (p, q) -> (phi p, phi q),
+    and keeps the relation, as the unit signs it brings in are the same on
+    both sides of the test.  The count relies on the check alone.
     """
-    per_s = {s: sum(1 for _ in _kite_struts(zd_graph(n, s))) for s in sweep_range(n)}
-    return CensusReport(n, per_s)
+    carriers = {v: _carrier(v) for v in range(2, 8)}
+    per_s, sources = {}, {}
+    for s in sweep_range(n):
+        adjacency, v, r = _adjacency(n, s), s & 7, s & ~7 | 1
+        if s == r:
+            searched = adjacency  # r's relation, for the rest of its block of eight
+        elif v and carriers[v] and _carries(*carriers[v], searched, adjacency):
+            per_s[s], sources[s] = per_s[r], r
+            continue
+        per_s[s], sources[s] = sum(1 for _ in _kite_struts(n, s, adjacency)), s
+    return CensusReport(n, per_s, sources)

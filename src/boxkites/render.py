@@ -22,7 +22,16 @@ from itertools import chain
 from math import comb
 from typing import Callable
 
-from .emanation import CensusReport, _box_kites, _kite_lows, _Sweep, census, sweep_range, zd_graph
+from .emanation import (
+    CensusReport,
+    _adjacency,
+    _box_kites,
+    _kite_lows,
+    _Sweep,
+    census,
+    sweep_range,
+    zd_graph,
+)
 from .fixtures import PATHION_CENSUS_CLAIMS
 from .kites import (
     EDGE_LETTER_PAIRS,
@@ -30,6 +39,8 @@ from .kites import (
     STRUT_LETTER_PAIRS,
     Assessor,
     BoxKite,
+    _strut_x,
+    assessor_lows,
     build_box_kite,
     check_level,
     check_strut,
@@ -49,7 +60,7 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes 3.3-3.7 s, its trip-sync sweep about 7 s written out as JSON).
+# census takes about 0.5 s, its trip-sync sweep about 6-7 s written out as JSON).
 # Its 127 x 7,875 = 1,000,125 assessor pairs bound the search of every
 # request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8
@@ -233,9 +244,10 @@ def sync_table_payload() -> dict:
 
 
 def pathion_payload(n: int, s: int) -> dict:
-    graph = zd_graph(n, s)  # in the order of ``find_box_kites``, no kite built
-    vertex = {v.o: list(v.indices) for v in graph.assessors}
-    kites = [{"vertices": dict(zip(LETTERS, map(vertex.get, lows)))} for lows in _kite_lows(graph)]
+    adjacency = _adjacency(n, s)  # in the order of ``find_box_kites``, no kite built
+    x = _strut_x(n, s)
+    vertex = {o: [o, o ^ x] for o in assessor_lows(s, n)}  # one list per vertex, shared
+    kites = [{"vertices": dict(zip(LETTERS, map(vertex.get, lows)))} for lows in _kite_lows(n, s, adjacency)]
     return {"n": n, "s": s, "kites": kites}
 
 

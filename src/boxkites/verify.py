@@ -483,9 +483,9 @@ def _section_census() -> Iterator[CheckResult]:
 
 
 def _section_tripsync() -> Iterator[CheckResult]:
-    # No fixture holds n = 6 counts, and census(6) would add 12-20 ms to a
-    # whole run of 50-85 ms (Python 3.11, 2 cores), so the sample's 35
-    # kites per s <= 8 and 7 at s = 17 are written here.
+    # No fixture holds n = 6 counts, so the sample's 35 kites per s <= 8 and
+    # 7 at s = 17 are written here as literal data, not read from census(6),
+    # which counts with the same search the sweep runs.
     kites4, kites5 = len(fixtures.STRUT_TABLE), fixtures.PATHION_CENSUS_CLAIMS["arithmetic_total"]
     for check_id, claim, kites, sweep in (
         ("n4", f"holds on all {kites4} sedenion kites", kites4, trip_sync_sweep(4)),

@@ -153,6 +153,20 @@ class TestSignTable:
         info = sign_table.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
 
+    def test_blade_sign_cache_is_bounded_and_verify_fits(self):
+        from boxkites.verify import run_verification
+
+        blade_sign.cache_clear()
+        run_verification()
+        info = blade_sign.cache_info()
+        assert info.currsize == info.misses  # nothing evicted
+        assert [blade_sign(a, b) for a in range(128) for b in range(128)] == [
+            -1 if negative else 1 for row in sign_table(7) for negative in row
+        ]
+        assert blade_sign.cache_info().currsize == info.maxsize == 1 << 14
+        blade_sign(1000, 999)  # a high level evicts and stays within the bound
+        assert blade_sign.cache_info().currsize == 1 << 14
+
     def test_orientation_keeps_the_unit_triple_check(self):
         for bad in [(1, 2, 4), (0, 1, 1), (3, 3, 0), (1, 2, 2)]:
             with pytest.raises(ValueError, match="not a unit triple"):

@@ -115,9 +115,10 @@ class TestEmit:
 
     def test_unwritable_out_refused_before_any_search(self, tmp_path, capsys, monkeypatch):
         def no_search(n, s):
-            raise AssertionError(f"zd_graph({n}, {s}) called")
+            raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
+        monkeypatch.setattr(emanation, "_adjacency", no_search)
         target = tmp_path / "missing" / "x.txt"
         with pytest.raises(SystemExit) as err:
             main(["emit", "census", "--dim", "256", "--out", str(target)])
@@ -218,10 +219,12 @@ class TestEmit:
     ])
     def test_refused_before_any_search(self, argv, capsys, monkeypatch):
         def no_search(n, s):
-            raise AssertionError(f"zd_graph({n}, {s}) called")
+            raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
+        monkeypatch.setattr(emanation, "_adjacency", no_search)
         monkeypatch.setattr(render, "zd_graph", no_search)
+        monkeypatch.setattr(render, "_adjacency", no_search)
         with pytest.raises(AssertionError):
             main(["emit", "pathion", "--strut", "9"])
         with pytest.raises(SystemExit) as err:
@@ -266,9 +269,9 @@ class TestEmit:
         first = emanation.find_box_kites(6, 5)[0]
         labelled = []
 
-        def counted(graph, lows, vertex, label=emanation._label_kite):
+        def counted(n, s, lows, vertex, label=emanation._label_kite):
             labelled.append(lows)
-            return label(graph, lows, vertex)
+            return label(n, s, lows, vertex)
 
         monkeypatch.setattr(emanation, "_label_kite", counted)
         assert cmd_emit(RenderSpec("box-kite", "json", n=6, s=5)) == json_text(box_kite_payload(first))
@@ -467,9 +470,10 @@ class TestSweepStream:
 
     def test_unwritable_out_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
         def no_search(n, s):
-            raise AssertionError(f"zd_graph({n}, {s}) called")
+            raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
+        monkeypatch.setattr(emanation, "_adjacency", no_search)
         target = tmp_path / "missing" / "x.json"
         with pytest.raises(SystemExit) as err:
             main(["emit", "tripsync", "--dim", "256", "--out", str(target)])

@@ -178,6 +178,16 @@ class TestAssessorEnumeration:
             assessors_for_strut(16, 5)
 
 
+def graph_adjacency(graph):
+    """The search's adjacency masks, read from a graph's signs: bit b of
+    element a is set iff lows a and b carry an edge."""
+    adjacency = [0] * (1 << (graph.n - 1))
+    for a, b in graph.signs:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return adjacency
+
+
 def non_adjacent_pairs(graph):
     """Low pairs (a, b), a < b, of the graph's assessors that carry no edge."""
     lows = [v.o for v in graph.assessors]
@@ -218,6 +228,12 @@ class TestZDGraph:
                 for u, v in combinations(graph.assessors, 2)
             ]
             assert list(graph.signs.items()) == [e for e in expected if e[1] is not None], s
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_row_masks_match_the_graph(self, n):
+        # the search's masks come from sign-table rows, a whole row at a time
+        for s in range(1, 1 << (n - 1)):
+            assert emanation._adjacency(n, s) == graph_adjacency(zd_graph(n, s)), s
 
 
 class TestSignTableUse:
@@ -394,7 +410,7 @@ class TestFindBoxKites:
             if sign:
                 signs[pair] = sign
         doctored = ZDGraph(n, s, signs)
-        assert list(emanation._kite_struts(doctored)) == bucket_scan(doctored)
+        assert list(emanation._kite_struts(n, s, graph_adjacency(doctored))) == bucket_scan(doctored)
 
     @pytest.mark.parametrize("s", [2, 7, 14])
     def test_closure_search_when_a_third_low_is_s(self, s):
@@ -409,7 +425,7 @@ class TestFindBoxKites:
                 if a ^ b != t
             }
             graph = ZDGraph(5, s, signs)
-            assert list(emanation._kite_struts(graph)) == bucket_scan(graph), t
+            assert list(emanation._kite_struts(5, s, graph_adjacency(graph))) == bucket_scan(graph), t
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_graph_signs_agree_with_validating_constructor(self, n):
@@ -468,7 +484,7 @@ class TestZigzagRule:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_face_order_from_the_sign_table_is_aso_form(self, n):
         for s in range(1, 1 << (n - 1)):
-            for lows in emanation._kite_lows(zd_graph(n, s)):
+            for lows in emanation._kite_lows(n, s, emanation._adjacency(n, s)):
                 assert lows[:3] == aso_form(lows[:3]), (s, lows)
 
     def test_zigzag_sails_per_kite_at_n6_s25(self):
@@ -489,6 +505,7 @@ class TestZigzagRule:
         # their edges (v0-v1, v1-v2, v2-v0).  An edge p-q is "-" when the
         # highs' byte T[P][Q] equals T[p][q]; the lows' rows stay as they are.
         graph = zd_graph(4, 1)
+        adjacency = graph_adjacency(graph)  # the graph, not the doctored table, has the edges
         x = graph.assessors[0].x
         faces = sorted(aso_form(v.o for v in sail.vertices) for sail in find_box_kites(4, 1)[0].sails)
         table = [bytearray(row) for row in sign_table(4)]
@@ -498,7 +515,7 @@ class TestZigzagRule:
                 high_byte = table[p][q] if mark == "-" else 1 - table[p][q]
                 table[p ^ x][q ^ x], table[q ^ x][p ^ x] = high_byte, 1 - high_byte
         monkeypatch.setattr(emanation, "sign_table", lambda n: table)
-        assert next(emanation._kite_lows(graph))[:3] == faces[chosen]
+        assert next(emanation._kite_lows(4, 1, adjacency))[:3] == faces[chosen]
 
 
 class TestPathionLift:
@@ -576,6 +593,52 @@ class TestCensus:
                     cross_adjacent += (common >> u2) & (common >> v2) & 1
             assert cross_adjacent == 3 * per_s[s], s
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_carried_counts_equal_the_exhaustive_search(self, n):
+        exhaustive = {
+            s: sum(1 for _ in emanation._kite_struts(n, s, graph_adjacency(zd_graph(n, s))))
+            for s in range(1, 1 << (n - 1))
+        }
+        assert census(n).per_s == exhaustive
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_sources_name_a_searched_s(self, n):
+        sources = census(n).sources
+        assert list(sources) == list(range(1, 1 << (n - 1)))
+        for s, r in sources.items():
+            assert r in (s, s & ~7 | 1) and r & 7 in (0, 1) and sources[r] == r, s
+        # every map passed its check: one search per s with low bits 0 or 1
+        assert [s for s, r in sources.items() if r == s] == [s for s in sources if s & 7 < 2]
+
+    @pytest.mark.parametrize("v", range(2, 8))
+    def test_a_map_wrong_in_one_image_is_refused(self, v, monkeypatch):
+        expected = census(6).per_s
+        low_map = emanation._low_map
+
+        def wrong(w):
+            images = list(low_map(w))
+            if w == v:
+                images[6] ^= 1  # no longer linear
+            return tuple(images)
+
+        monkeypatch.setattr(emanation, "_low_map", wrong)
+        report = census(6)
+        assert report.per_s == expected
+        assert [s for s, r in report.sources.items() if r == s] == [
+            s for s in range(1, 32) if s & 7 in (0, 1, v)
+        ]
+
+    @pytest.mark.parametrize("n,s", [(5, 3), (6, 14), (7, 61)])
+    def test_a_relation_wrong_in_one_edge_is_not_carried(self, n, s):
+        carrier = emanation._carrier(s & 7)
+        source, target = emanation._adjacency(n, s & ~7 | 1), emanation._adjacency(n, s)
+        assert emanation._carries(*carrier, source, target)
+        for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
+            doctored = list(target)
+            doctored[a] ^= 1 << b
+            doctored[b] ^= 1 << a
+            assert not emanation._carries(*carrier, source, doctored), (a, b)
+
     def test_census_builds_no_kite(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("census labelled or assembled a kite")
@@ -628,9 +691,10 @@ def test_strut_constant_outside_level_refused(n, s):
 def test_sweep_range_refuses_at_once(monkeypatch):
     # refused while the s values are read, before any graph is built
     def no_search(n, s):
-        raise AssertionError(f"zd_graph({n}, {s}) called")
+        raise AssertionError(f"graph of ({n}, {s}) built")
 
     monkeypatch.setattr(emanation, "zd_graph", no_search)
+    monkeypatch.setattr(emanation, "_adjacency", no_search)
     for s_values in ([0, 99], [1, 32], [-3]):
         with pytest.raises(ValueError, match="lie strictly between 0 and 32$"):
             sweep_range(6, s_values)
