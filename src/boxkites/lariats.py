@@ -80,9 +80,11 @@ class _Lines:
     ``lines`` as (k, c, d) from the kite's lows, as ``BoxKite`` holds every
     vertex's high at o ^ X.  Such lines
     multiply to such lines: e_k e_m and e_K e_M land on k ^ m, e_k e_M and
-    e_K e_m on k ^ m ^ X (K = k ^ X, M = m ^ X).  ``lookup`` maps the sorted
-    terms of every signed representative to (sign, symbol), the first in
-    YARD_SYMBOLS order winning; ``cells`` collapses each product once.
+    e_K e_m on k ^ m ^ X (K = k ^ X, M = m ^ X).  As k stays a low, the line
+    itself is canonical: ``lookup`` maps every signed representative (k, c, d)
+    to (sign, symbol), the first in YARD_SYMBOLS order winning, and ``cell``
+    collapses an integer line by one gcd and one lookup, once per line.
+    Nothing here is sized by 2^n: only signs of index pairs are read.
     """
 
     def __init__(self, bk: BoxKite) -> None:
@@ -91,32 +93,35 @@ class _Lines:
         self.lines = {"R": (0, 1, 0), "8": (bk.s, 0, 1), "X": (0, 0, 1), "S": (bk.s, 1, 0)}
         for letter, v in zip(LETTERS, bk.vertices):
             self.lines[letter], self.lines[letter.lower()] = (v.o, 1, 1), (v.o, 1, -1)
-        self.lookup: dict[tuple[tuple[int, int], ...], tuple[int, str]] = {}
+        self.lookup: dict[tuple[int, int, int], tuple[int, str]] = {}
         for sym in YARD_SYMBOLS:
             k, c, d = self.lines[sym]
-            self.lookup.setdefault(self.terms(k, c, d), (1, sym))
-            self.lookup.setdefault(self.terms(k, -c, -d), (-1, sym))
+            self.lookup.setdefault((k, c, d), (1, sym))
+            self.lookup.setdefault((k, -c, -d), (-1, sym))
         self.cells: dict[tuple[int, int, int], LariatResult] = {}
 
     def terms(self, k: int, c: int, d: int) -> tuple[tuple[int, int], ...]:
         """The nonzero (index, coeff) terms of c e_k + d e_(k^X), sorted."""
         return tuple((i, a) for i, a in ((k, c), (k ^ self.x, d)) if a)
 
-    def collapse(self, coeffs: dict[int, Scalar]) -> LariatResult:
-        if not coeffs:
-            return LariatResult.ZERO
-        # positive rational content: gcd of numerators over lcm of denominators
-        num = gcd(*(c.numerator for c in coeffs.values()))
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        content = num if den == 1 else Fraction(num, den)
-        reduced = tuple(sorted((i, int(c * den) // num) for i, c in coeffs.items()))
-        try:
-            sign, symbol = self.lookup[reduced]
-        except KeyError:
-            raise NonCollapsibleError(
-                f"product {Hypercomplex(self.n, coeffs)} is not a scaled yard symbol"
-            ) from None
-        return LariatResult(sign, symbol, content)
+    def cell(self, k: int, c: int, d: int) -> LariatResult:
+        """The integer line c e_k + d e_(k^X) as zero or a scaled symbol."""
+        cell = self.cells.get((k, c, d))
+        if cell is None:
+            if not (c or d):
+                cell = LariatResult.ZERO
+            else:
+                g = gcd(c, d)
+                try:
+                    sign, symbol = self.lookup[k, c // g, d // g]
+                except KeyError:
+                    product = Hypercomplex(self.n, dict(self.terms(k, c, d)))
+                    raise NonCollapsibleError(
+                        f"product {product} is not a scaled yard symbol"
+                    ) from None
+                cell = LariatResult(sign, symbol, g)
+            self.cells[k, c, d] = cell
+        return cell
 
     def product(self, *symbols: str) -> LariatResult:
         """Left-to-right product of yard lines, collapsed."""
@@ -132,10 +137,7 @@ class _Lines:
                 c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
                 c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m),
             )
-        cell = self.cells.get((k, c, d))
-        if cell is None:
-            cell = self.cells[k, c, d] = self.collapse(dict(self.terms(k, c, d)))
-        return cell
+        return self.cell(k, c, d)
 
 
 def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
@@ -143,6 +145,8 @@ def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
 
     The content of a rational product is the gcd of its numerators over the
     lcm of its denominators; it stays an int when every coefficient is one.
+    Scaled by that lcm, the product is an integer line, collapsed as a table
+    cell is.
 
     Raises ValueError when the product lives in another algebra than the
     box-kite, and NonCollapsibleError when the reduced product is not plus or
@@ -153,7 +157,16 @@ def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
         raise ValueError(
             f"product lives in 2^{product.dim_exponent}-ions, box-kite in 2^{bk.n}-ions"
         )
-    return _Lines(bk).collapse(product.coeffs)
+    coeffs = product.coeffs
+    if not coeffs:
+        return LariatResult.ZERO
+    lines, i = _Lines(bk), min(coeffs)
+    k = i if i < 1 << (bk.n - 1) else i ^ lines.x  # the low of the line through e_i
+    if not coeffs.keys() <= {k, k ^ lines.x}:
+        raise NonCollapsibleError(f"product {product} is not a scaled yard symbol")
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    cell = lines.cell(k, int(coeffs.get(k, 0) * den), int(coeffs.get(k ^ lines.x, 0) * den))
+    return cell if den == 1 else LariatResult(cell.sign, cell.symbol, Fraction(cell.scale, den))
 
 
 def lariat_product(p: str, q: str, bk: BoxKite) -> LariatResult:
@@ -181,8 +194,27 @@ class LariatTable:
 
 
 def _cells(lines: _Lines, symbols: tuple[str, ...]) -> tuple[tuple[LariatResult, ...], ...]:
-    """Every row-times-column product over ``symbols``, the cells of a line table."""
-    return tuple(tuple(lines.product(p, q) for q in symbols) for p in symbols)
+    """Every row-times-column product over ``symbols``, the cells of a line table.
+
+    A row fixes its line's (k, k ^ X); each column's product line is then
+    four ``blade_sign`` calls, as in ``_Lines.product``, read from the memo
+    of collapsed lines or, the first time it is met, collapsed by ``cell``.
+    """
+    x, cell, memo = lines.x, lines.cell, lines.cells
+    columns = [(m, m ^ x, e, f) for m, e, f in map(lines.lines.__getitem__, symbols)]
+    rows = []
+    for p in symbols:
+        k, c, d = lines.lines[p]
+        big_k = k ^ x
+        rows.append(tuple([
+            memo.get(line := (
+                k ^ m,
+                c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
+                c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m),
+            )) or cell(*line)
+            for m, big_m, e, f in columns
+        ]))
+    return tuple(rows)
 
 
 def switching_yard(bk: BoxKite) -> LariatTable:

@@ -91,14 +91,19 @@ IDENTITY_FORMS: dict[str, TripleForm] = {
 
 
 def _cayley_table(loop: UnitLoop) -> CayleyTable:
-    """Positions of all pairwise products, from each element's sign bit and index."""
+    """Positions of all pairwise products, from each element's sign bit and index.
+
+    The sign bits are read once per pair of distinct indices, m^2 ``blade_sign``
+    calls for m indices, and each index's row of (sign bit, index) products is
+    laid out once; an element's row flips its sign bits when it is negative.
+    """
     signed = [(x.sign < 0, x.index) for x in loop.elements]
     position = {key: k for k, key in enumerate(signed)}
+    indices = dict.fromkeys(i for _, i in signed)
+    negative = {i: {j: blade_sign(i, j) < 0 for j in indices} for i in indices}
+    rows = {i: [(ny ^ negative[i][j], i ^ j) for ny, j in signed] for i in indices}
     try:
-        return [
-            [position[nx ^ ny ^ (blade_sign(i, j) < 0), i ^ j] for ny, j in signed]
-            for nx, i in signed
-        ]
+        return [[position[nx ^ flip, k] for flip, k in rows[i]] for nx, i in signed]
     except KeyError:
         raise ValueError("loop elements are not closed under the product") from None
 
@@ -148,9 +153,11 @@ def is_quaternion_group(loop: UnitLoop) -> bool:
     Among order-8 structures this pins Q8 exactly: associative, not
     commutative, and a single element of order two.
     """
-    if len(loop) != 8 or check_identity(loop, "associative") is not None:
+    if len(loop) != 8:
         return False
     table, e, one = _cayley_table(loop), loop.elements, BasisBlade(1, 0)
+    if _scan(loop, table, "associative", IDENTITY_FORMS["associative"]) is not None:
+        return False
     involutions = [x for x in range(8) if e[x] != one and e[table[x][x]] == one]
     commutative = all(table[x][y] == table[y][x] for x in range(8) for y in range(8))
     return len(involutions) == 1 and not commutative

@@ -1,8 +1,9 @@
 """Deterministic renderers: markdown, CSV, JSON, and DOT for every target.
 
 Most targets build a plain-data payload (dicts, lists, strings) and render
-it by a pure function of that payload; the tripsync sweep is written kite
-by kite as it is found, in the layout its payload would have.  Identical
+it by a pure function of that payload; the pathion kites and the tripsync
+sweep are written kite by kite as they are found, in the layout their
+payloads would have.  Identical
 invocations are byte-identical.  JSON table cells use the grammar "0",
 "+R", "-R", "+8", "-8", "+X", "-X", "+S", "-S", and signed vertex letters.
 
@@ -40,7 +41,6 @@ from .kites import (
     Assessor,
     BoxKite,
     _strut_x,
-    assessor_lows,
     build_box_kite,
     check_level,
     check_strut,
@@ -243,14 +243,6 @@ def sync_table_payload() -> dict:
     return {"n": 4, "rows": rows}
 
 
-def pathion_payload(n: int, s: int) -> dict:
-    adjacency = _adjacency(n, s)  # in the order of ``find_box_kites``, no kite built
-    x = _strut_x(n, s)
-    vertex = {o: [o, o ^ x] for o in assessor_lows(s, n)}  # one list per vertex, shared
-    kites = [{"vertices": dict(zip(LETTERS, map(vertex.get, lows)))} for lows in _kite_lows(n, s, adjacency)]
-    return {"n": n, "s": s, "kites": kites}
-
-
 def census_payload(report: CensusReport) -> dict:
     payload = {
         "n": report.n,
@@ -377,6 +369,32 @@ def _sweep_text(spec: RenderSpec) -> Iterator[str]:
     yield f"overall: {'pass' if report.all_passed else 'FAIL'} over {report.kite_count} kites\n"
 
 
+# ------------------------------------------------------------- the pathion
+# The pathion text is written kite by kite as ``_kite_lows`` yields them, in
+# the order of ``find_box_kites`` and with no kite built.  Its JSON is what
+# ``json_text`` gives {"n", "s", "kites": [{"vertices": {letter: [o, hi]}}]},
+# each kite laid out from this template; its tables hold one row per kite.
+_PATHION_KITE_JSON = '    {\n      "vertices": {\n%s\n      }\n    }' % ",\n".join(
+    f'        "{p}": [\n          %d,\n          %d\n        ]' for p in LETTERS
+)
+
+
+def _pathion_text(spec: RenderSpec) -> Iterator[str]:
+    """The pathion kites in chunks, each written as soon as it is found."""
+    x = _strut_x(spec.n, spec.s)
+    kites = _kite_lows(spec.n, spec.s, _adjacency(spec.n, spec.s))
+    if spec.format != "json":
+        rows = ([i, *(f"{o},{o ^ x}" for o in lows)] for i, lows in enumerate(kites, 1))
+        yield from _TABLES[spec.format](["Kite", *LETTERS], rows)
+        return
+    yield f'{{\n  "n": {spec.n},\n  "s": {spec.s},\n  "kites": ['
+    separator = "\n"
+    for lows in kites:
+        yield separator + _PATHION_KITE_JSON % tuple(chain.from_iterable((o, o ^ x) for o in lows))
+        separator = ",\n"
+    yield ("]" if separator == "\n" else "\n  ]") + "\n}\n"
+
+
 # ---------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
@@ -443,13 +461,7 @@ REGISTRY: dict[str, Target] = {
             [[ROMAN[r["s"]]] + [_sync_cell(sail) for sail in r["sails"]] for r in p["rows"]],
         )],
     )),
-    "pathion": Target(_tabulated(
-        lambda spec: pathion_payload(spec.n, spec.s),
-        lambda p: [(
-            ["Kite", *LETTERS],
-            [[i + 1] + _vertex_cells(kite["vertices"]) for i, kite in enumerate(p["kites"])],
-        )],
-    ), ("n", "s"), default_dim=32, dot=True),
+    "pathion": Target(_pathion_text, ("n", "s"), default_dim=32, dot=True),
     "census": Target(
         _tabulated(lambda spec: census_payload(census(spec.n)), _census_blocks), ("n",)
     ),
@@ -462,9 +474,10 @@ TARGETS = tuple(REGISTRY)
 def emit_chunks(spec: RenderSpec) -> Iterable[str]:
     """The text of one request, in chunks; deterministic byte-for-byte.
 
-    Every target but tripsync is built whole before this returns, so a
-    refusal (ValueError) comes before any text; the tripsync sweep runs as
-    its chunks are read, and keeps no kite it has written.
+    A refusal (ValueError) comes before any text: ``RenderSpec`` checks the
+    request, and the targets built whole are built before this returns.  The
+    pathion search and the tripsync sweep run as their chunks are read, and
+    keep no kite they have written.
     """
     if spec.format == "dot":
         return [dot_zd_graph(spec.n, spec.s)]

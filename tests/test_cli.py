@@ -16,7 +16,7 @@ import pytest
 import boxkites
 from boxkites import cli, emanation, render
 from boxkites.cli import main
-from boxkites.kites import build_box_kite
+from boxkites.kites import LETTERS, build_box_kite
 from boxkites.lariats import STRUT_SYMBOLS, switching_yard
 from boxkites.render import (
     TARGETS,
@@ -480,6 +480,33 @@ class TestSweepStream:
         assert err.value.code == 2
         assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
         assert not target.parent.exists()
+
+
+class TestPathionStream:
+    """The pathion text is written kite by kite, in the bytes of its payload
+    laid out whole."""
+
+    @pytest.mark.parametrize("n,s", [(4, 3), (5, 9), (6, 25)])
+    def test_every_format_matches_the_whole_payload(self, n, s):
+        kites = emanation.find_box_kites(n, s)
+        payload = {"n": n, "s": s, "kites": [
+            {"vertices": {p: [v.o, v.hi] for p, v in zip(LETTERS, kite.vertices)}}
+            for kite in kites
+        ]}
+        assert cmd_emit(RenderSpec("pathion", "json", n=n, s=s)) == json_text(payload)
+        rows = [[i, *(f"{v.o},{v.hi}" for v in kite.vertices)] for i, kite in enumerate(kites, 1)]
+        for fmt in ("markdown", "csv"):
+            table = "".join(render._TABLES[fmt](["Kite", *LETTERS], rows))
+            assert cmd_emit(RenderSpec("pathion", fmt, n=n, s=s)) == table, fmt
+
+    def test_no_kites_is_an_empty_list(self, monkeypatch):
+        monkeypatch.setattr(render, "_kite_lows", lambda n, s, adjacency: iter(()))
+        text = cmd_emit(RenderSpec("pathion", "json", n=5, s=9))
+        assert text == json_text({"n": 5, "s": 9, "kites": []})
+
+    def test_one_chunk_per_kite(self):
+        chunks = list(render.emit_chunks(RenderSpec("pathion", "json", n=5, s=9)))
+        assert len(chunks) == len(emanation.find_box_kites(5, 9)) + 2
 
 
 class TestRoundTrip:

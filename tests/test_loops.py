@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxkites import algebra, lariats, loops
 from boxkites.algebra import BasisBlade
-from boxkites.fixtures import O_TRIPS, S_TRIPS
-from boxkites.kites import automorpheme, octonion_loop_axes
+from boxkites.fixtures import MOCK_OCTONION_AF, O_TRIPS, S_TRIPS, SWITCHING_YARD
+from boxkites.kites import Assessor, BoxKite, automorpheme, build_box_kite, octonion_loop_axes
+from boxkites.lariats import mock_octonion_table, quizzical_tables, switching_yard
 from boxkites.loops import (
     IDENTITY_FORMS,
     MOUFANG_FORMS,
@@ -178,6 +180,28 @@ class TestCayleyTableScan:
         loop = UnitLoop(frozenset({1, 2}), elements, False)
         with pytest.raises(ValueError):
             check_identity(loop, "associative")
+
+
+def test_tables_read_no_level_sized_table(monkeypatch):
+    # lariat and Cayley tables read the signs of index pairs, never a table
+    # sized by the level or the largest index
+    def refuse(n):
+        raise AssertionError(f"sign table of level {n} read")
+
+    for module in (algebra, lariats, loops):
+        monkeypatch.setattr(module, "sign_table", refuse, raising=False)
+    # box-kite I's lows at level 40, X = 2^39 + 1, are a kite with its tables
+    bk = build_box_kite(1)
+    x = (1 << 39) + 1
+    far = BoxKite(40, 1, tuple(Assessor(40, v.o, v.o ^ x) for v in bk.vertices))
+    for kite in (bk, far):
+        assert switching_yard(kite).cell_strings() == SWITCHING_YARD
+        assert mock_octonion_table(kite, "AF").cell_strings() == MOCK_OCTONION_AF
+        assert all(lariat.relations_hold for lariat in quizzical_tables(kite))
+    for label, loop in ORACLE_LOOPS:
+        e = loop.elements
+        assert loops._cayley_table(loop) == [[e.index(x * y) for y in e] for x in e], label
+    assert check_identity(loop_closure({1, 1 << 40}), "associative") is None
 
 
 # The octonion copies and the sedenion-level Q8 copies are left out: they
