@@ -29,22 +29,23 @@ def _dim_exponent(text: str) -> int:
 
 def _s_range(text: str) -> tuple[int, ...]:
     """The strut constants ``text`` names, each piece cut to its first
-    2^(MAX_WHOLE_LEVEL_N - 1) values.  ``RenderSpec`` refuses what the cut
-    keeps of a longer piece: a value out of range at a level searched whole,
-    and too many values to search above it."""
+    2^(MAX_WHOLE_LEVEL_N - 1) values; a piece that selects none is refused
+    by name.  ``RenderSpec`` refuses what the cut keeps of a longer piece: a
+    value out of range at a level searched whole, and too many values to
+    search above it."""
     cut = 1 << (MAX_WHOLE_LEVEL_N - 1)
     values: list[int] = []
     try:
         for piece in text.split(","):
             if "-" in piece:
                 lo, hi = map(int, piece.split("-"))
+                if hi < lo:
+                    raise argparse.ArgumentTypeError(f"{piece!r} selects no strut constant")
                 values.extend(range(lo, min(hi + 1, lo + cut)))
             else:
                 values.append(int(piece))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {text!r}; use forms like 1-8,17") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} selects no strut constant")
     return tuple(values)
 
 

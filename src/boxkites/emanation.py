@@ -162,9 +162,10 @@ def _kite_struts(n: int, s: int, adjacency: list[int]):
                     yield u1, v1, u2, v2, u3, v3
 
 
-def _kite_lows(n: int, s: int, adjacency: list[int]) -> Iterator[tuple[int, ...]]:
-    """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows),
-    of the graph on the lows of (n, s) with these adjacency masks.
+def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows):
+    the one entry to the lettered kites of (n, s).  The search runs at the
+    call, so a bad (n, s) is refused there, before any table is built.
 
     A, B, C take the sail the ``kites`` module names, its lows in ASO order
     (positive, smallest first): the least zigzag, all three edges "-", or
@@ -180,6 +181,7 @@ def _kite_lows(n: int, s: int, adjacency: list[int]) -> Iterator[tuple[int, ...]
     sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c), (a,B,C) and
     (A,b,C) are positive; (a,b,c) is positive by its order.
     """
+    adjacency = _adjacency(n, s)  # refuses (n, s) before the table or X is formed
     table, x = sign_table(n), _strut_x(n, s)
     keyed = []
     for struts in _kite_struts(n, s, adjacency):
@@ -200,21 +202,14 @@ def _kite_lows(n: int, s: int, adjacency: list[int]) -> Iterator[tuple[int, ...]
                 abc = lows
         keyed.append((*abc, u1, v1))  # with the ABC lows, the first strut fixes the kite
     keyed.sort()
-    for a, b, c, u1, v1 in keyed:
-        t = u1 ^ v1  # the struts' low XOR
-        yield a, b, c, c ^ t, b ^ t, a ^ t
+    # the struts' low XOR u1 ^ v1 takes A, B, C to their strut partners F, E, D
+    return ((a, b, c, c ^ u1 ^ v1, b ^ u1 ^ v1, a ^ u1 ^ v1) for a, b, c, u1, v1 in keyed)
 
 
-def _label_kite(n: int, s: int, lows: tuple[int, ...], vertex: dict[int, Assessor]) -> BoxKite:
-    """The box-kite of (n, s) whose letters A to F have these lows, by ``vertex``'s assessors."""
-    return BoxKite(n, s, tuple(map(vertex.__getitem__, lows)))
-
-
-def _box_kites(n: int, s: int) -> Iterator[BoxKite]:
-    """The box-kites of ``find_box_kites``, each built as it is read."""
-    vertex = {v.o: v for v in assessors_for_strut(s, n)}
-    for lows in _kite_lows(n, s, _adjacency(n, s)):
-        yield _label_kite(n, s, lows, vertex)
+def _label_kite(n: int, s: int, lows: tuple[int, ...]) -> BoxKite:
+    """The box-kite of (n, s) whose letters A to F have these lows."""
+    x = _strut_x(n, s)
+    return BoxKite(n, s, tuple(Assessor(n, o, o ^ x) for o in lows))
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -236,7 +231,7 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
     only that candidate and so meets box-kites only, each once.  Ordered by
     the low-index triple of the A, B, C sail, then by strut lows.
     """
-    return list(_box_kites(n, s))
+    return [_label_kite(n, s, lows) for lows in _kite_lows(n, s)]
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:
@@ -247,8 +242,7 @@ def pathion_lift(bk: BoxKite) -> BoxKite:
     """
     if bk.n != 4:
         raise ValueError("lift starts from a sedenion box-kite")
-    x = _strut_x(5, bk.s)
-    return BoxKite(5, bk.s, tuple(Assessor(5, v.o, v.o ^ x) for v in bk.vertices))
+    return _label_kite(5, bk.s, tuple(v.o for v in bk.vertices))
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,8 +296,9 @@ def sweep_entries(n: int, s: int) -> Iterator[SweepEntry]:
     slot-1 low q and high Q.  Only a failing slot forms its triple; no kite
     is built.  ``lariats.trip_sync_report`` on the labelled kite is the reference.
     """
-    adjacency, table, x = _adjacency(n, s), sign_table(n), _strut_x(n, s)
-    for lows in _kite_lows(n, s, adjacency):
+    kites = _kite_lows(n, s)  # refuses (n, s) before the table is read
+    table, x = sign_table(n), _strut_x(n, s)
+    for lows in kites:
         counterexamples = []
         for i, j, pq, p_big_q, big_p_q, big_pq in _SYNC_SLOTS:
             p, q = lows[i], lows[j]
@@ -344,11 +339,15 @@ class _Sweep:
 def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
     """Check the trip-synchronization pattern on every kite of every s.
 
-    Makes no claim beyond the swept range.  It keeps the tally alone, so its
+    Makes no claim beyond the swept range, and an empty list is refused, as
+    it would pass having checked nothing.  It keeps the tally alone, so its
     memory does not grow with the level; each kite's verdict, with the
     triples that break it, comes from ``sweep_entries`` for its s.
     """
-    sweep = _Sweep(n, sweep_range(n, s_values))
+    s_values = sweep_range(n, s_values)
+    if not s_values:
+        raise ValueError(f"a sweep needs at least one strut constant; None sweeps all of level {n}")
+    sweep = _Sweep(n, s_values)
     for _ in sweep:  # read through for the tally alone
         pass
     return sweep.report

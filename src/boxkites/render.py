@@ -25,9 +25,8 @@ from typing import Callable
 
 from .emanation import (
     CensusReport,
-    _adjacency,
-    _box_kites,
     _kite_lows,
+    _label_kite,
     _Sweep,
     census,
     sweep_range,
@@ -274,10 +273,10 @@ def dot_zd_graph(n: int, s: int) -> str:
 
 def _kite(spec: RenderSpec) -> BoxKite:
     """The first box-kite of ``find_box_kites``, built alone."""
-    kite = next(_box_kites(spec.n, spec.s), None)
-    if kite is None:
+    lows = next(_kite_lows(spec.n, spec.s), None)
+    if lows is None:
         raise ValueError(f"no box-kite found for n={spec.n}, s={spec.s}")
-    return kite
+    return _label_kite(spec.n, spec.s, lows)
 
 
 # ------------------------------------------------------------- text blocks
@@ -382,7 +381,7 @@ _PATHION_KITE_JSON = '    {\n      "vertices": {\n%s\n      }\n    }' % ",\n".jo
 def _pathion_text(spec: RenderSpec) -> Iterator[str]:
     """The pathion kites in chunks, each written as soon as it is found."""
     x = _strut_x(spec.n, spec.s)
-    kites = _kite_lows(spec.n, spec.s, _adjacency(spec.n, spec.s))
+    kites = _kite_lows(spec.n, spec.s)
     if spec.format != "json":
         rows = ([i, *(f"{o},{o ^ x}" for o in lows)] for i, lows in enumerate(kites, 1))
         yield from _TABLES[spec.format](["Kite", *LETTERS], rows)

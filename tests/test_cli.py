@@ -16,7 +16,7 @@ import pytest
 import boxkites
 from boxkites import cli, emanation, render
 from boxkites.cli import main
-from boxkites.kites import LETTERS, build_box_kite
+from boxkites.kites import LETTERS, Assessor, build_box_kite
 from boxkites.lariats import STRUT_SYMBOLS, switching_yard
 from boxkites.render import (
     TARGETS,
@@ -86,12 +86,17 @@ class TestEmit:
         assert payload["kites"] == []
         assert payload["all_passed"] is True and payload["kite_count"] == 7
 
-    @pytest.mark.parametrize("s_range", ["5-3", "", "1-2-3", "x"])
+    @pytest.mark.parametrize("s_range", ["5-3", "1,5-3", "", "1-2-3", "x"])
     def test_usage_error_empty_or_bad_s_range(self, s_range, capsys):
         with pytest.raises(SystemExit) as err:
             main(["emit", "tripsync", "--dim", "32", "--s-range", s_range])
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_s_range_names_the_piece_that_selects_none(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["emit", "tripsync", "--dim", "32", "--s-range", "1,5-3,7"])
+        assert "argument --s-range: '5-3' selects no strut constant" in capsys.readouterr().err
 
     def test_pathion_table(self, capsys):
         code, out = emit(capsys, "pathion", "--strut", "9")
@@ -224,7 +229,6 @@ class TestEmit:
         monkeypatch.setattr(emanation, "zd_graph", no_search)
         monkeypatch.setattr(emanation, "_adjacency", no_search)
         monkeypatch.setattr(render, "zd_graph", no_search)
-        monkeypatch.setattr(render, "_adjacency", no_search)
         with pytest.raises(AssertionError):
             main(["emit", "pathion", "--strut", "9"])
         with pytest.raises(SystemExit) as err:
@@ -269,13 +273,30 @@ class TestEmit:
         first = emanation.find_box_kites(6, 5)[0]
         labelled = []
 
-        def counted(n, s, lows, vertex, label=emanation._label_kite):
+        def counted(n, s, lows, label=emanation._label_kite):
             labelled.append(lows)
-            return label(n, s, lows, vertex)
+            return label(n, s, lows)
 
-        monkeypatch.setattr(emanation, "_label_kite", counted)
+        monkeypatch.setattr(render, "_label_kite", counted)
         assert cmd_emit(RenderSpec("box-kite", "json", n=6, s=5)) == json_text(box_kite_payload(first))
         assert len(labelled) == 1
+
+    def test_box_kite_builds_only_its_six_assessors(self, monkeypatch):
+        built = []
+        check = Assessor.__post_init__
+
+        def counted(self):
+            built.append(self.indices)
+            check(self)
+
+        monkeypatch.setattr(Assessor, "__post_init__", counted)
+        payload = json.loads(cmd_emit(RenderSpec("box-kite", "json", n=11, s=1)))
+        assert built == [tuple(payload["vertices"][p]) for p in LETTERS]
+
+    def test_no_box_kite_is_refused(self, monkeypatch):
+        monkeypatch.setattr(render, "_kite_lows", lambda n, s: iter(()))
+        with pytest.raises(ValueError, match=r"^no box-kite found for n=5, s=9$"):
+            cmd_emit(RenderSpec("box-kite", "json", n=5, s=9))
 
     def test_sedenion_box_kite_is_the_constructed_one(self):
         for s in range(1, 8):
@@ -500,7 +521,7 @@ class TestPathionStream:
             assert cmd_emit(RenderSpec("pathion", fmt, n=n, s=s)) == table, fmt
 
     def test_no_kites_is_an_empty_list(self, monkeypatch):
-        monkeypatch.setattr(render, "_kite_lows", lambda n, s, adjacency: iter(()))
+        monkeypatch.setattr(render, "_kite_lows", lambda n, s: iter(()))
         text = cmd_emit(RenderSpec("pathion", "json", n=5, s=9))
         assert text == json_text({"n": 5, "s": 9, "kites": []})
 

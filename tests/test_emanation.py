@@ -484,7 +484,7 @@ class TestZigzagRule:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_face_order_from_the_sign_table_is_aso_form(self, n):
         for s in range(1, 1 << (n - 1)):
-            for lows in emanation._kite_lows(n, s, emanation._adjacency(n, s)):
+            for lows in emanation._kite_lows(n, s):
                 assert lows[:3] == aso_form(lows[:3]), (s, lows)
 
     def test_zigzag_sails_per_kite_at_n6_s25(self):
@@ -515,7 +515,8 @@ class TestZigzagRule:
                 high_byte = table[p][q] if mark == "-" else 1 - table[p][q]
                 table[p ^ x][q ^ x], table[q ^ x][p ^ x] = high_byte, 1 - high_byte
         monkeypatch.setattr(emanation, "sign_table", lambda n: table)
-        assert next(emanation._kite_lows(4, 1, adjacency))[:3] == faces[chosen]
+        monkeypatch.setattr(emanation, "_adjacency", lambda n, s: adjacency)
+        assert next(emanation._kite_lows(4, 1))[:3] == faces[chosen]
 
 
 class TestPathionLift:
@@ -668,9 +669,10 @@ class TestCensus:
 @pytest.mark.parametrize(
     "entry",
     [census, trip_sync_sweep, lambda n: trip_sync_sweep(n, []), lambda n: zd_graph(n, 1),
-     lambda n: find_box_kites(n, 1), lambda n: Assessor(n, 1, 5)],
+     lambda n: find_box_kites(n, 1), lambda n: list(emanation.sweep_entries(n, 1)),
+     lambda n: Assessor(n, 1, 5)],
     ids=["census", "trip_sync_sweep", "trip_sync_sweep-no-s", "zd_graph", "find_box_kites",
-         "Assessor"],
+         "sweep_entries", "Assessor"],
 )
 def test_level_below_sedenions_refused(entry, n):
     message = rf"starts at the sedenions: n must be at least 4 \(dimension 16\); got n = {n}$"
@@ -678,11 +680,20 @@ def test_level_below_sedenions_refused(entry, n):
         entry(n)
 
 
-@pytest.mark.parametrize("n,s", [(4, 0), (4, 8), (6, 99), (6, -1)])
-def test_strut_constant_outside_level_refused(n, s):
+@pytest.mark.parametrize("n,s", [(4, 0), (4, 8), (6, 99), (6, -1), (1000, 0)])
+def test_strut_constant_outside_level_refused(n, s, monkeypatch):
+    # refused before any module asks for a sign table, which at n = 1000
+    # would hold 4^1000 bytes
+    def no_table(n):
+        raise AssertionError(f"sign table of level {n} built")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "boxkites" and hasattr(module, "sign_table"):
+            monkeypatch.setattr(module, "sign_table", no_table)
     half = 1 << (n - 1)
     message = rf"^strut constants at dimension {2 * half} lie strictly between 0 and {half}$"
     for refused in (lambda: zd_graph(n, s), lambda: find_box_kites(n, s),
+                    lambda: list(emanation.sweep_entries(n, s)),
                     lambda: assessors_for_strut(s, n)):
         with pytest.raises(ValueError, match=message):
             refused()
@@ -701,6 +712,10 @@ def test_sweep_range_refuses_at_once(monkeypatch):
         with pytest.raises(ValueError, match="lie strictly between 0 and 32$"):
             trip_sync_sweep(6, s_values)
     assert sweep_range(6, [31, 1, 31]) == (1, 31)
+    # an empty sweep would pass having checked nothing
+    with pytest.raises(ValueError, match="^a sweep needs at least one strut constant; "
+                                         "None sweeps all of level 6$"):
+        trip_sync_sweep(6, [])
 
 
 class TestSweep:

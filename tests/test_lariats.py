@@ -13,7 +13,7 @@ from boxkites.fixtures import (
     SWITCHING_YARD,
     SYNC_TABLE,
 )
-from boxkites.emanation import _box_kites, find_box_kites
+from boxkites.emanation import _kite_lows, _label_kite, find_box_kites
 from boxkites.kites import Assessor, BoxKite, build_box_kite
 from boxkites.lariats import (
     STRUT_SYMBOLS,
@@ -344,7 +344,7 @@ def oracle_table(bk, symbols):
 ORACLE_KITES = (
     [(f"n4-s{s}", build_box_kite(s)) for s in range(1, 8)]
     + [(f"n5-s{s}-{k}", kite) for s in (1, 8, 9) for k, kite in enumerate(find_box_kites(5, s))]
-    + [(f"n6-s{s}-0", next(_box_kites(6, s))) for s in range(1, 32)]
+    + [(f"n6-s{s}-0", _label_kite(6, s, next(_kite_lows(6, s)))) for s in range(1, 32)]
     + [("n6-s25-1", find_box_kites(6, 25)[1])]
 )
 
