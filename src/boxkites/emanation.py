@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import TripIndices, sign_table
 from .kites import (
@@ -65,10 +66,6 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     return ZDGraph(n, s, signs)
 
 
-# Row bytes of the XOR of four signs to adjacency bits: 0 (an edge) to "1".
-_EDGE_BITS = bytes.maketrans(b"\x00\x01", b"10")
-
-
 def _vertex_bits(n: int, s: int) -> int:
     """The lows of the assessors of (n, s) as bits: every 0 < o < 2^(n-1) but s."""
     return (1 << (1 << (n - 1))) - 2 & ~(1 << s)
@@ -88,30 +85,64 @@ def _block_swaps(width: int, unit: int) -> list[tuple[int, int]]:
     return swaps
 
 
+def _permuted(x: int, s: int, swaps: list[tuple[int, int]]) -> int:
+    """``x`` with field j moved to field j ^ s: one block swap of ``swaps``
+    (from ``_block_swaps``) per set bit of s."""
+    for k, (shift, mask) in enumerate(swaps):
+        if s >> k & 1:
+            x = (x & mask) << shift | (x >> shift) & mask
+    return x
+
+
+# Sign-table bytes, 0 for + and 1 for -, to the digits of a base-2 literal.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=1)
+def _level_bits(n: int) -> tuple[list[int], list, list]:
+    """Level n's sign table T packed a bit per product for ``_adjacency``, kept
+    for the last level asked for, as ``sign_table`` keeps its rows.
+
+    T in quarters, each one int with bit a * 2^(n-1) + b set iff T[a][b] is
+    1, a and b counted within their halves: the low rows (a < 2^(n-1)) at the
+    low and at the high columns, then the high rows likewise.  With them,
+    the block swaps that move whole rows of a quarter, and those that move
+    bits within every row of it.
+    """
+    table, half = sign_table(n), 1 << (n - 1)
+    quarters = [int(b"".join(row[columns] for row in rows)[::-1].translate(_DIGITS), 2)
+                for rows in (table[:half], table[half:])
+                for columns in (slice(half), slice(half, None))]
+    width = half // 8  # bytes in a row of a quarter
+    bit_swaps = [(shift, int.from_bytes(mask.to_bytes(width, "little") * half, "little"))
+                 for shift, mask in _block_swaps(half, 1)]
+    return quarters, _block_swaps(half, half), bit_swaps
+
+
 def _adjacency(n: int, s: int) -> list[int]:
     """Adjacency masks of ``zd_graph(n, s)``: bit b of element a is set iff
     lows a and b carry an edge; elements 0 and s, never vertices, are 0.
 
     From rows of the sign table T, a and b with highs A and B = b ^ X carry
-    an edge iff T[a][b] ^ T[A][B] ^ T[a][B] ^ T[A][b] is 0, and B lies at
-    2^(n-1) + (b ^ s).  So XOR rows a and A as ints of one byte per entry,
-    fold their high half onto the low half with its bytes permuted by
-    b -> b ^ s (one block swap per set bit of s), and the zero bytes are the
-    edges of a: 2^(n-1) - 2 big-int passes over 2^n bytes.  ``zd_graph`` is
-    the reference.
+    an edge iff T[a][b] ^ T[A][B] ^ T[a][B] ^ T[A][b] is 0, where
+    A = 2^(n-1) + (a ^ s) and B = 2^(n-1) + (b ^ s).  So on the quarters of
+    ``_level_bits``, move the high rows by a -> a ^ s and XOR them into the
+    low rows, move the bits of the high columns by b -> b ^ s and XOR them
+    into the low columns, and the clear bits are the edges, a row per low:
+    whole-level big-int passes, one block swap per set bit of s in each
+    move, then one slice per low.  ``zd_graph`` is the reference.
     """
     lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
-    table, x, half = sign_table(n), _strut_x(n, s), 1 << (n - 1)
-    swaps = [swap for k, swap in enumerate(_block_swaps(half, 8)) if s >> k & 1]
-    low_half, vertices = (1 << 8 * half) - 1, _vertex_bits(n, s)
+    (low_low, low_high, high_low, high_high), row_swaps, bit_swaps = _level_bits(n)
+    at_b = low_low ^ _permuted(high_low, s, row_swaps)  # T[a][b] ^ T[A][b]
+    at_big_b = low_high ^ _permuted(high_high, s, row_swaps)  # T[a][B] ^ T[A][B], at b ^ s
+    half = 1 << (n - 1)
+    width, vertices = half // 8, _vertex_bits(n, s)  # bytes in a row of a quarter
+    non_edges = (at_b ^ _permuted(at_big_b, s, bit_swaps)).to_bytes(half * width, "little")
     adjacency = [0] * half
     for a in lows:
-        rows = int.from_bytes(table[a], "little") ^ int.from_bytes(table[a ^ x], "little")
-        high = rows >> 8 * half
-        for shift, mask in swaps:
-            high = (high & mask) << shift | (high >> shift) & mask
-        edges = ((rows & low_half) ^ high).to_bytes(half, "big").translate(_EDGE_BITS)
-        adjacency[a] = int(edges, 2) & vertices & ~(1 << a)
+        row = int.from_bytes(non_edges[a * width:(a + 1) * width], "little")
+        adjacency[a] = ~row & vertices & ~(1 << a)
     return adjacency
 
 
@@ -124,9 +155,12 @@ def _kite_struts(n: int, s: int, adjacency: list[int]):
     Two cross-adjacent struts {a, a^t} and {b, b^t} of one bucket fix the
     third as {a^b, a^b^t}; it must come after the second in the bucket, be a
     non-edge, and be adjacent to all four vertices of the first two.  A
-    second strut is read only from the lows u with u and u^t both adjacent
-    to the first strut's two ends.  The low s is never a vertex, so no
-    adjacency bit of it is set and a third strut on s fails that last test.
+    second strut's low u is read from the later lows of the bucket adjacent
+    to both ends of the first strut, and kept only if u^t is adjacent to
+    both too, one bit test.  As two struts follow the first in its bucket,
+    a bucket of fewer than three lows is skipped and its last two lows never
+    start a kite.  The low s is never a vertex, so no adjacency bit of it is
+    set and a third strut on s fails that last test.
     Each kite is met once, its struts in bucket order.  On the algebra's
     graphs only the order condition ever rejects (checked for n <= 8, tested
     for n <= 7); the others keep the search exact on any graph.
@@ -139,21 +173,20 @@ def _kite_struts(n: int, s: int, adjacency: list[int]):
             b = (later & -later).bit_length() - 1
             later &= later - 1
             buckets.setdefault(a ^ b, []).append(a)
-    swaps = _block_swaps(1 << (n - 1), 1)
     for t, bucket in buckets.items():
-        t_swaps = [swap for k, swap in enumerate(swaps) if t >> k & 1]
+        if len(bucket) < 3:
+            continue
         members = sum(1 << u for u in bucket)
-        for u1 in bucket:
+        for u1 in bucket[:-2]:  # two more struts follow the first in its bucket
             v1 = u1 ^ t
             common1 = adjacency[u1] & adjacency[v1]
-            paired = common1
-            for shift, mask in t_swaps:
-                paired = (paired & mask) << shift | (paired >> shift) & mask
-            seconds = common1 & paired & members & -(2 << u1)
+            seconds = common1 & members & -(2 << u1)
             while seconds:
                 u2 = (seconds & -seconds).bit_length() - 1
                 seconds &= seconds - 1
                 v2 = u2 ^ t
+                if not common1 >> v2 & 1:
+                    continue
                 u3, v3 = sorted((u1 ^ u2, u1 ^ v2))
                 if u3 <= u2 or (adjacency[u3] >> v3) & 1:
                     continue
@@ -182,8 +215,8 @@ def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
     (A,b,C) are positive; (a,b,c) is positive by its order.
     """
     adjacency = _adjacency(n, s)  # refuses (n, s) before the table or X is formed
-    table, x = sign_table(n), _strut_x(n, s)
-    keyed = []
+    table, x, w = sign_table(n), _strut_x(n, s), n - 1
+    keyed = []  # one int per kite, ordered as its (ABC lows, strut lows)
     for struts in _kite_struts(n, s, adjacency):
         u1, v1, u2, v2 = struts[:4]
         zigzags, trefoils = [], []
@@ -200,10 +233,20 @@ def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
             lows = (a, c, b) if table[a][b] else (a, b, c)
             if abc is None or lows < abc:
                 abc = lows
-        keyed.append((*abc, u1, v1))  # with the ABC lows, the first strut fixes the kite
+        a, b, c = abc  # with the ABC lows, the first strut fixes the kite
+        keyed.append((((a << w | b) << w | c) << w | u1) << w | v1)
     keyed.sort()
-    # the struts' low XOR u1 ^ v1 takes A, B, C to their strut partners F, E, D
-    return ((a, b, c, c ^ u1 ^ v1, b ^ u1 ^ v1, a ^ u1 ^ v1) for a, b, c, u1, v1 in keyed)
+    return _unpacked(keyed, w)
+
+
+def _unpacked(keyed: list[int], w: int) -> Iterator[tuple[int, ...]]:
+    """The lows A to F of each kite key of ``_kite_lows``: A, B, C and the first
+    strut's lows as five fields of w bits, A the highest."""
+    field = (1 << w) - 1
+    for key in keyed:
+        t = (key >> w ^ key) & field  # the struts' low XOR takes A, B, C to F, E, D
+        a, b, c = key >> 4 * w, key >> 3 * w & field, key >> 2 * w & field
+        yield a, b, c, c ^ t, b ^ t, a ^ t
 
 
 def _label_kite(n: int, s: int, lows: tuple[int, ...]) -> BoxKite:
@@ -356,7 +399,8 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
 @dataclass(frozen=True)
 class CensusReport:
     """Box-kites per strut constant; ``sources`` maps each s to the s whose
-    search gave its count, s itself when s was searched."""
+    search gave its count: s itself for each s = 8k + 1 and for any s whose
+    map failed its check, else the s = 8k + 1 its count was carried from."""
 
     n: int
     per_s: dict[int, int]
@@ -405,31 +449,78 @@ def _carries(images: tuple[int, ...], bits: bytes, source: list[int], target: li
     )
 
 
+def _tau(j: int, a: int) -> int:
+    """tau_j on an index: a with its bits 0 and j exchanged.  With the higher
+    bits fixed, it sends r = (s ^ 2^j) | 1 to each s = 8k whose lowest set bit is j."""
+    return a ^ (1 | 1 << j) if (a ^ a >> j) & 1 else a
+
+
+def _swap(x: int, shift: int, mask: int) -> int:
+    """``x`` with each bit p of ``mask`` exchanged with bit p + ``shift``."""
+    t = (x ^ x >> shift) & mask
+    return x ^ t ^ t << shift
+
+
+def _transposer(j: int, half: int) -> tuple[int, int] | None:
+    """tau_j on the bits of an int below 2^half, as the shift and mask of one
+    ``_swap``: each bit a with bit 0 of a set and bit j clear trades places
+    with bit a + 2^j - 1.  None unless that moves every bit a to ``_tau(j, a)``."""
+    shift, mask = (1 << j) - 1, sum(1 << a for a in range(half) if a & 1 and not a >> j & 1)
+    if all(_swap(1 << a, shift, mask) == 1 << _tau(j, a) for a in range(half)):
+        return shift, mask
+    return None
+
+
+def _transposes(j: int, shift: int, mask: int, source: list[int], target: list[int]) -> bool:
+    """Whether tau_j carries the edge relation with adjacency ``source`` onto
+    the one with ``target``: for every low a, the mask of tau_j(a) is the mask
+    of a with its bits moved by ``_swap``."""
+    return all(target[_tau(j, a)] == _swap(m, shift, mask) for a, m in enumerate(source))
+
+
 def census(n: int) -> CensusReport:
     """Box-kite count per strut constant, by enumeration plus checked transport.
 
-    Each s whose low three bits v are 0 or 1 is searched; the search's strut
-    triples are counted and no kite is labelled or built.  Any other s takes
-    the count of r = (s & ~7) | 1 once ``_carries`` finds that L_v, fixing
-    the higher bits, maps the edge relation of r onto that of s on every low.
-    A kite is three non-edge struts of one low XOR, cross-adjacent, the lows
-    of two XOR-closing onto the third; a linear bijection keeping the
-    relation keeps all of that, so it maps the kites of r one to one onto
-    those of s.  An s whose check fails is searched instead.  Every check
-    has passed on every level run (n = 4 to 10), as it should: an octonion
-    automorphism permutes the units up to sign by a linear map of the low
-    three bits, extends through each doubling as (p, q) -> (phi p, phi q),
-    and keeps the relation, as the unit signs it brings in are the same on
-    both sides of the test.  The count relies on the check alone.
+    Only each s = 8k + 1 is searched; the search's strut triples are counted
+    and no kite is labelled or built.  Any other s with low three bits
+    v != 0 takes the count of r = (s & ~7) | 1 once ``_carries`` finds that
+    L_v, fixing the higher bits, maps the edge relation of r onto that of s
+    on every low; s = 8k with lowest set bit j takes the count of
+    r = (s ^ 2^j) | 1 once ``_transposes`` finds the same of tau_j, which
+    exchanges index bits 0 and j.  A kite is three non-edge struts of one
+    low XOR, cross-adjacent, the lows of two XOR-closing onto the third; a
+    linear bijection keeping the relation keeps all of that, so it maps the
+    kites of r one to one onto those of s.  An s whose check fails is
+    searched instead.  Every check has passed on every level run (n = 4 to
+    10).  For L_v it should: an octonion automorphism permutes the units up
+    to sign by a linear map of the low three bits, extends through each
+    doubling as (p, q) -> (phi p, phi q), and keeps the relation, as the unit
+    signs it brings in are the same on both sides of the test.  The count
+    relies on the check alone.  The masks of a searched r are held until
+    the last s that reads them is checked: at most n // 2 - 1 lists of them
+    at once (two at n = 7, four at n = 10).
     """
+    s_values = sweep_range(n)
+    half = 1 << (n - 1)
     carriers = {v: _carrier(v) for v in range(2, 8)}
-    per_s, sources = {}, {}
-    for s in sweep_range(n):
-        adjacency, v, r = _adjacency(n, s), s & 7, s & ~7 | 1
-        if s == r:
-            searched = adjacency  # r's relation, for the rest of its block of eight
-        elif v and carriers[v] and _carries(*carriers[v], searched, adjacency):
-            per_s[s], sources[s] = per_s[r], r
-            continue
-        per_s[s], sources[s] = sum(1 for _ in _kite_struts(n, s, adjacency)), s
+    transposers = {j: _transposer(j, half) for j in range(3, n - 1)}
+    sources = {s: s & ~7 | 1 if s & 7 else (s ^ s & -s) | 1 for s in s_values}
+    last_reader = {r: s for s, r in sources.items()}
+    per_s, held = {}, {}
+    for s in s_values:
+        adjacency, r = _adjacency(n, s), sources[s]
+        if r != s:
+            source = held.pop(r) if last_reader[r] == s else held[r]
+            if s & 7:
+                carried = carriers[s & 7] and _carries(*carriers[s & 7], source, adjacency)
+            else:
+                j = (s & -s).bit_length() - 1
+                carried = transposers[j] and _transposes(j, *transposers[j], source, adjacency)
+            if carried:
+                per_s[s] = per_s[r]
+                continue
+            sources[s] = s
+        elif last_reader[s] != s:
+            held[s] = adjacency
+        per_s[s] = sum(1 for _ in _kite_struts(n, s, adjacency))
     return CensusReport(n, per_s, sources)

@@ -59,7 +59,7 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes about 0.5 s, its trip-sync sweep about 6-7 s written out as JSON).
+# census takes about 0.25 s, its trip-sync sweep about 6-7 s written out as JSON).
 # Its 127 x 7,875 = 1,000,125 assessor pairs bound the search of every
 # request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8

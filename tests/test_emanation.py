@@ -235,6 +235,21 @@ class TestZDGraph:
         for s in range(1, 1 << (n - 1)):
             assert emanation._adjacency(n, s) == graph_adjacency(zd_graph(n, s)), s
 
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_packed_masks_match_the_graph_above_n7(self, n):
+        # s = 1, the least s with bit n - 2 set, and the s with every bit set
+        for s in (1, (1 << (n - 2)) + 1, (1 << (n - 1)) - 1):
+            assert emanation._adjacency(n, s) == graph_adjacency(zd_graph(n, s)), s
+
+    def test_packed_level_is_kept_for_one_level(self):
+        packed = emanation._level_bits
+        packed.cache_clear()
+        census(5)
+        census(6)
+        assert packed.cache_info().currsize == 1 and packed.cache_info().misses == 2
+        packed(6)
+        assert packed.cache_info().hits > 0 and packed.cache_info().misses == 2
+
 
 class TestSignTableUse:
     """Entry points that take one object, at any n, read ``blade_sign`` only."""
@@ -594,7 +609,7 @@ class TestCensus:
                     cross_adjacent += (common >> u2) & (common >> v2) & 1
             assert cross_adjacent == 3 * per_s[s], s
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_carried_counts_equal_the_exhaustive_search(self, n):
         exhaustive = {
             s: sum(1 for _ in emanation._kite_struts(n, s, graph_adjacency(zd_graph(n, s))))
@@ -602,14 +617,16 @@ class TestCensus:
         }
         assert census(n).per_s == exhaustive
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_sources_name_a_searched_s(self, n):
         sources = census(n).sources
         assert list(sources) == list(range(1, 1 << (n - 1)))
         for s, r in sources.items():
-            assert r in (s, s & ~7 | 1) and r & 7 in (0, 1) and sources[r] == r, s
-        # every map passed its check: one search per s with low bits 0 or 1
-        assert [s for s, r in sources.items() if r == s] == [s for s in sources if s & 7 < 2]
+            # L_v from the s = 8k + 1 below s, or tau_j from (s ^ 2^j) | 1
+            assert r == (s & ~7 | 1 if s & 7 else (s ^ s & -s) | 1), s
+            assert r & 7 == 1 and sources[r] == r, s
+        # every map passed its check: one search per s = 8k + 1
+        assert [s for s, r in sources.items() if r == s] == [s for s in sources if s & 7 == 1]
 
     @pytest.mark.parametrize("v", range(2, 8))
     def test_a_map_wrong_in_one_image_is_refused(self, v, monkeypatch):
@@ -626,7 +643,24 @@ class TestCensus:
         report = census(6)
         assert report.per_s == expected
         assert [s for s, r in report.sources.items() if r == s] == [
-            s for s in range(1, 32) if s & 7 in (0, 1, v)
+            s for s in range(1, 32) if s & 7 in (1, v)
+        ]
+
+    @pytest.mark.parametrize("j", [3, 4, 5])
+    def test_a_transposition_wrong_in_one_image_is_refused(self, j, monkeypatch):
+        expected = census(7).per_s
+        tau = emanation._tau
+
+        def wrong(i, a):
+            return tau(i, a) ^ (i == j and a == 6)  # 6 now goes to 7
+
+        monkeypatch.setattr(emanation, "_tau", wrong)
+        assert emanation._transposer(j, 64) is None
+        report = census(7)
+        assert report.per_s == expected
+        # the s whose lowest set bit is j are searched, every other map is used
+        assert [s for s, r in report.sources.items() if r == s] == [
+            s for s in range(1, 64) if s & 7 == 1 or s & -s == 1 << j
         ]
 
     @pytest.mark.parametrize("n,s", [(5, 3), (6, 14), (7, 61)])
@@ -639,6 +673,18 @@ class TestCensus:
             doctored[a] ^= 1 << b
             doctored[b] ^= 1 << a
             assert not emanation._carries(*carrier, source, doctored), (a, b)
+
+    @pytest.mark.parametrize("n,s", [(5, 8), (6, 24), (7, 48)])
+    def test_a_relation_wrong_in_one_edge_is_not_transposed(self, n, s):
+        j = (s & -s).bit_length() - 1
+        transposer = emanation._transposer(j, 1 << (n - 1))
+        source, target = emanation._adjacency(n, (s ^ s & -s) | 1), emanation._adjacency(n, s)
+        assert emanation._transposes(j, *transposer, source, target)
+        for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
+            doctored = list(target)
+            doctored[a] ^= 1 << b
+            doctored[b] ^= 1 << a
+            assert not emanation._transposes(j, *transposer, source, doctored), (a, b)
 
     def test_census_builds_no_kite(self, monkeypatch):
         def refuse(*args):
