@@ -33,8 +33,9 @@ SignTable = tuple[bytes, ...]
 
 
 # Holds every pair of indices below 128, so nothing through n = 7 (all of
-# ``run_verification``) is evicted, while a kite check at a high level keeps
-# the process small: find_box_kites(10, 1) caches 651,241 sub-calls unbounded.
+# ``run_verification``) is evicted, while signs asked for pair by pair at a
+# high level, where no table is held, keep the process small: each distinct
+# pair also caches its recursion's sub-calls.
 @lru_cache(maxsize=1 << 14)
 def blade_sign(a: int, b: int) -> int:
     """Sign of e_a * e_b, independent of the ambient dimension.
@@ -62,6 +63,10 @@ def blade_sign(a: int, b: int) -> int:
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
+# The level and rows of ``sign_table``'s last build; its one-entry cache holds
+# the same rows unless cleared.
+_held: list = [None, None]
+
 
 @lru_cache(maxsize=1)
 def sign_table(n: int) -> SignTable:
@@ -85,7 +90,20 @@ def sign_table(n: int) -> SignTable:
             b"\x00" + row[1:].translate(_FLIP) + b"\x01" + column[1:]
             for row, column in zip(rows, columns)
         ]
-    return tuple(rows)
+    table = tuple(rows)
+    _held[:] = n, table
+    return table
+
+
+def held_sign_table(n: int) -> SignTable | None:
+    """Level n's sign table when ``sign_table`` built it last, else None.
+
+    It never builds a table, so code that works on one object reads the
+    level's rows when whole-level work has already paid for them, and asks
+    ``blade_sign`` otherwise.
+    """
+    level, rows = _held
+    return rows if level == n else None
 
 
 @dataclass(frozen=True)

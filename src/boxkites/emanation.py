@@ -249,10 +249,17 @@ def _unpacked(keyed: list[int], w: int) -> Iterator[tuple[int, ...]]:
         yield a, b, c, c ^ t, b ^ t, a ^ t
 
 
-def _label_kite(n: int, s: int, lows: tuple[int, ...]) -> BoxKite:
-    """The box-kite of (n, s) whose letters A to F have these lows."""
-    x = _strut_x(n, s)
-    return BoxKite(n, s, tuple(Assessor(n, o, o ^ x) for o in lows))
+def _label_kite(n: int, s: int, lows: tuple[int, ...],
+                vertex: dict[int, Assessor] | None = None) -> BoxKite:
+    """The box-kite of (n, s) whose letters A to F have these lows.
+
+    ``vertex`` maps lows to the assessors of (n, s), so that the kites of
+    one search share them; without it, the six are built here.
+    """
+    if vertex is None:
+        x = _strut_x(n, s)
+        vertex = {o: Assessor(n, o, o ^ x) for o in lows}
+    return BoxKite(n, s, tuple(map(vertex.__getitem__, lows)))
 
 
 def find_box_kites(n: int, s: int) -> list[BoxKite]:
@@ -274,7 +281,9 @@ def find_box_kites(n: int, s: int) -> list[BoxKite]:
     only that candidate and so meets box-kites only, each once.  Ordered by
     the low-index triple of the A, B, C sail, then by strut lows.
     """
-    return [_label_kite(n, s, lows) for lows in _kite_lows(n, s)]
+    kites = _kite_lows(n, s)  # refuses (n, s) before any assessor is built
+    vertex = {a.o: a for a in assessors_for_strut(s, n)}
+    return [_label_kite(n, s, lows, vertex) for lows in kites]
 
 
 def pathion_lift(bk: BoxKite) -> BoxKite:

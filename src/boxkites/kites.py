@@ -11,7 +11,9 @@ X is computed from (n, s) here alone, by ``_strut_x``; ``Assessor.s`` is its
 inverse.  A ``BoxKite`` of (n, s) refuses, however it is built, any vertex
 whose X is not X(n, s); as X lies between 2^(n-1) and 2^n, that also
 refuses a vertex of another level.  Its constructor alone computes a kite's
-12 edge signs and checks its 3 struts, 15 ``edge_sign`` calls per kite.
+12 edge signs and checks its 3 struts by ``edge_rule``, on four signs per
+vertex pair: read from the level's sign table when ``algebra`` holds it,
+as it does after a search of that level, else from ``blade_sign``.
 
 Vertex letters: F, E, D sit at the opposite ends of the struts from A, B,
 C respectively, and (a, b, c), the low indices of A, B, C, is a positively
@@ -39,6 +41,7 @@ from .algebra import (
     blade_sign,
     enumerate_trips,
     hc_mul,
+    held_sign_table,
     trip_orientation,
 )
 
@@ -214,6 +217,19 @@ def edge_sign(a1: Assessor, a2: Assessor) -> int | None:
     )
 
 
+class _BladeRow:
+    """Row a of any level's sign table, read from ``blade_sign`` an item at a
+    time: item b is True iff e_a * e_b < 0, as byte b of a table row is 1."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: int) -> None:
+        self.a = a
+
+    def __getitem__(self, b: int) -> bool:
+        return blade_sign(self.a, b) < 0
+
+
 def slot_trips(ends) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices]:
     """The four index triples a sail circuit touches, in slot order.
 
@@ -246,9 +262,11 @@ class BoxKite:
     """Octahedron of six assessors, checked here alone however it is built.
 
     Every vertex carries X = 2^(n-1) + s; each of the 12 edges carries a zero
-    divisor, its sign from ``edge_sign`` (``blade_sign``, as a sign table holds one
-    level only) kept in ``edge_signs``, and none of the 3 struts does.  A kite is
-    refused otherwise, and when n is below the sedenions or s is no strut constant.
+    divisor, its sign kept in ``edge_signs``, and none of the 3 struts does.  A
+    kite is refused otherwise, and when n is below the sedenions or s is no strut
+    constant.  Each of the 15 vertex pairs is judged by ``edge_rule`` on rows of
+    the level's sign table when ``held_sign_table`` has it, else on rows read
+    from ``blade_sign``: the check builds no table, so a kite of n = 40 builds.
     """
 
     n: int
@@ -265,12 +283,21 @@ class BoxKite:
         for letter, v in zip(LETTERS, self.vertices):
             if v.x != x:
                 raise ValueError(f"vertex {letter} = {v} does not carry X = {x}")
-        signs = tuple(edge_sign(self.vertices[i], self.vertices[j]) for i, j in _EDGE_ENDS)
+        table = held_sign_table(self.n)
+        row = _BladeRow if table is None else table.__getitem__
+        ends = [v.indices for v in self.vertices]
+        rows = [(row(a), row(big_a)) for a, big_a in ends]
+
+        def sign(i, j):
+            (row_a, row_big_a), (b, big_b) = rows[i], ends[j]
+            return edge_rule(row_a[b], row_big_a[big_b], row_a[big_b], row_big_a[b])
+
+        signs = tuple(sign(i, j) for i, j in _EDGE_ENDS)
         if None in signs:
             p, q = EDGE_LETTER_PAIRS[signs.index(None)]
             raise ValueError(f"edge {p}-{q} carries no zero divisor")
         for i, j in _STRUT_ENDS:
-            if edge_sign(self.vertices[i], self.vertices[j]) is not None:
+            if sign(i, j) is not None:
                 raise ValueError(f"strut {LETTERS[i]}-{LETTERS[j]} carries a zero divisor")
         object.__setattr__(self, "edge_signs", signs)
 

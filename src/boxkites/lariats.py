@@ -239,7 +239,7 @@ def mock_octonion_table(bk: BoxKite, strut: str = "AF") -> LariatTable:
     return LariatTable(bk.n, bk.s, symbols, _cells(_Lines(bk), symbols))
 
 
-def is_octonion_isomorphic(table: LariatTable) -> bool:
+def matches_octonion_table(table: LariatTable) -> bool:
     """Cell-for-cell match with the octonion table under symbol k -> e_k."""
     if len(table.symbols) != 8:
         return False

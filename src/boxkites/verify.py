@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterator
 
 from . import fixtures
-from .algebra import enumerate_trips, hc_mul, trip_orientation
+from .algebra import Hypercomplex, Scalar, enumerate_trips, hc_mul, trip_orientation
 from .emanation import (
     census,
     find_box_kites,
@@ -26,6 +27,7 @@ from .emanation import (
 from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
+    BoxKite,
     assessors_for_strut,
     automorpheme,
     build_box_kite,
@@ -37,8 +39,9 @@ from .kites import (
 )
 from .lariats import (
     STRUT_SYMBOLS,
+    LariatTable,
     NonCollapsibleError,
-    is_octonion_isomorphic,
+    matches_octonion_table,
     mock_octonion_table,
     quizzical_tables,
     switching_yard,
@@ -116,9 +119,42 @@ def _check(
     )
 
 
+class _Run:
+    """What the sections of one run share, each part built when a section
+    first reads it: the seven sedenion box-kites, their 21 mock-octonion
+    tables and the scale law's symbol representatives.  A section run alone
+    builds only what it reads, and nothing outlives the run."""
+
+    def __init__(self) -> None:
+        self._kites: dict[int, BoxKite] = {}
+
+    def kite(self, s: int) -> BoxKite:
+        if s not in self._kites:
+            self._kites[s] = build_box_kite(s)
+        return self._kites[s]
+
+    @property
+    def kites(self) -> dict[int, BoxKite]:
+        return {s: self.kite(s) for s in sweep_range(4)}
+
+    @cached_property
+    def mock_tables(self) -> dict[tuple[int, str], LariatTable]:
+        return {(s, strut): mock_octonion_table(bk, strut)
+                for s, bk in self.kites.items() for strut in STRUT_SYMBOLS}
+
+    @cached_property
+    def scaled_reps(self) -> dict[int, dict[Scalar, dict[str, Hypercomplex]]]:
+        """By s and k = 1, 1/2: k times the ``symbol_rep`` of each diagonal."""
+        out = {}
+        for s, bk in self.kites.items():
+            reps = {sym: symbol_rep(bk, sym) for sym in sum(STRUT_SYMBOLS.values(), ())}
+            out[s] = {k: {sym: k * rep for sym, rep in reps.items()} for k in (1, Fraction(1, 2))}
+        return out
+
+
 # ------------------------------------------------------------- sections
 
-def _section_trips() -> Iterator[CheckResult]:
+def _section_trips(run: _Run) -> Iterator[CheckResult]:
     for trip in fixtures.O_TRIPS:
         yield _check(
             f"trips/o{''.join(map(str, trip))}",
@@ -153,7 +189,7 @@ def _section_trips() -> Iterator[CheckResult]:
     )
 
 
-def _section_fabric() -> Iterator[CheckResult]:
+def _section_fabric(run: _Run) -> Iterator[CheckResult]:
     assessors = {a for s in sweep_range(4) for a in assessors_for_strut(s)}
     yield _check(
         "fabric/assessor-count", "42 assessors at the sedenion level",
@@ -164,7 +200,7 @@ def _section_fabric() -> Iterator[CheckResult]:
         "fabric/diagonal-count", "84 zero-divisor diagonals",
         84, len(diagonals),
     )
-    bk = build_box_kite(1)
+    bk = run.kite(1)
     cycle = sail_six_cycle(bk.sail("ABC"), bk.vertex("A").slash)
     computed = tuple(
         (
@@ -190,9 +226,9 @@ def _section_fabric() -> Iterator[CheckResult]:
     )
 
 
-def _section_strut_table() -> Iterator[CheckResult]:
+def _section_strut_table(run: _Run) -> Iterator[CheckResult]:
     for s, row in fixtures.STRUT_TABLE.items():
-        bk = build_box_kite(s)
+        bk = run.kite(s)
         computed = {p: bk.vertex(p).indices for p in LETTERS}
         yield _check(
             f"strut-table/row-{s}-vertices",
@@ -206,9 +242,8 @@ def _section_strut_table() -> Iterator[CheckResult]:
         )
 
 
-def _section_edge_signs() -> Iterator[CheckResult]:
-    for s in sweep_range(4):
-        bk = build_box_kite(s)
+def _section_edge_signs(run: _Run) -> Iterator[CheckResult]:
+    for s, bk in run.kites.items():
         # ABC's and DEF's edges are the negative ones
         computed = {p + q: sign for (p, q), sign in zip(EDGE_LETTER_PAIRS, bk.edge_signs)}
         rule = dict.fromkeys(computed, 1) | dict.fromkeys(("AB", "AC", "BC", "DE", "DF", "EF"), -1)
@@ -231,7 +266,7 @@ def _section_edge_signs() -> Iterator[CheckResult]:
         )
 
 
-def _section_loops() -> Iterator[CheckResult]:
+def _section_loops(run: _Run) -> Iterator[CheckResult]:
     for trip in fixtures.O_TRIPS:
         axes = automorpheme(trip)
         loop = loop_closure(axes)
@@ -272,9 +307,8 @@ def _section_loops() -> Iterator[CheckResult]:
     )
 
 
-def _section_quizzical() -> Iterator[CheckResult]:
-    kites = {s: build_box_kite(s) for s in sweep_range(4)}
-    lariats = {s: quizzical_tables(bk) for s, bk in kites.items()}
+def _section_quizzical(run: _Run) -> Iterator[CheckResult]:
+    lariats = {s: quizzical_tables(bk) for s, bk in run.kites.items()}
     every = [lariat for tables in lariats.values() for lariat in tables]
     yield _check(
         "quizzical/relations",
@@ -289,13 +323,13 @@ def _section_quizzical() -> Iterator[CheckResult]:
             triples, computed, fixture="QUIZZICAL_TRIPLES",
         )
     scale_ok = True
-    for s, bk in kites.items():
+    for s, scaled in run.scaled_reps.items():
         for lariat in lariats[s]:
             p, q = lariat.symbols[0], lariat.symbols[1]
             result = lariat.cells[0][1]
-            for k in (1, Fraction(1, 2)):
-                lhs = hc_mul(k * symbol_rep(bk, p), k * symbol_rep(bk, q))
-                rhs = (2 * k * k * result.sign) * symbol_rep(bk, result.symbol)
+            for k, reps in scaled.items():
+                lhs = hc_mul(reps[p], reps[q])
+                rhs = (2 * k * result.sign) * reps[result.symbol]  # 2 k^2 times the line
                 scale_ok = scale_ok and lhs == rhs
     yield _check(
         "quizzical/scale-law",
@@ -304,17 +338,12 @@ def _section_quizzical() -> Iterator[CheckResult]:
     )
 
 
-def _section_mock() -> Iterator[CheckResult]:
-    kites = {s: build_box_kite(s) for s in sweep_range(4)}
-    tables = {
-        (s, strut): mock_octonion_table(bk, strut)
-        for s, bk in kites.items()
-        for strut in STRUT_SYMBOLS
-    }
+def _section_mock(run: _Run) -> Iterator[CheckResult]:
+    tables = run.mock_tables
     yield _check(
         "mock/isomorphism",
         "all 21 strut tables are octonion tables under symbol k -> e_k",
-        21, sum(map(is_octonion_isomorphic, tables.values())),
+        21, sum(map(matches_octonion_table, tables.values())),
     )
     yield _check(
         "mock/bk1-af",
@@ -323,8 +352,8 @@ def _section_mock() -> Iterator[CheckResult]:
     )
 
 
-def _section_yard() -> Iterator[CheckResult]:
-    kites = [build_box_kite(s) for s in sweep_range(4)]
+def _section_yard(run: _Run) -> Iterator[CheckResult]:
+    kites = list(run.kites.values())
     yards = []
     try:
         for bk in kites:
@@ -354,7 +383,7 @@ def _section_yard() -> Iterator[CheckResult]:
         True, closure_ok,
     )
     subtables_ok = closure_ok and all(
-        yard_strut_subtable(yard, strut).cells == mock_octonion_table(bk, strut).cells
+        yard_strut_subtable(yard, strut).cells == run.mock_tables[bk.s, strut].cells
         for bk, yard in zip(kites, yards)
         for strut in STRUT_SYMBOLS
     )
@@ -392,9 +421,9 @@ def _section_yard() -> Iterator[CheckResult]:
     )
 
 
-def _section_sync_table() -> Iterator[CheckResult]:
+def _section_sync_table(run: _Run) -> Iterator[CheckResult]:
     for s, row in fixtures.SYNC_TABLE.items():
-        report = trip_sync_report(build_box_kite(s))
+        report = trip_sync_report(run.kite(s))
         computed = {sail.name: sail.trips for sail in report.sails}
         yield _check(
             f"sync-table/row-{s}-trips",
@@ -409,7 +438,7 @@ def _section_sync_table() -> Iterator[CheckResult]:
         )
 
 
-def _section_pathion() -> Iterator[CheckResult]:
+def _section_pathion(run: _Run) -> Iterator[CheckResult]:
     computed = [a.indices for a in assessors_for_strut(1, 5)]
     yield _check(
         "pathion/s1-assessors",
@@ -449,8 +478,8 @@ def _section_pathion() -> Iterator[CheckResult]:
         sorted(frozenset(t) for t in fixtures.O_TRIPS), abc8,
     )
     lifts_ok = True
-    for s in sweep_range(4):
-        lifted = pathion_lift(build_box_kite(s))
+    for s, bk in run.kites.items():
+        lifted = pathion_lift(bk)
         found = {frozenset(k.vertices) for k in searched[s]}
         lifts_ok = lifts_ok and frozenset(lifted.vertices) in found
     yield _check(
@@ -460,7 +489,7 @@ def _section_pathion() -> Iterator[CheckResult]:
     )
 
 
-def _section_census() -> Iterator[CheckResult]:
+def _section_census(run: _Run) -> Iterator[CheckResult]:
     report = census(5)
     claims = fixtures.PATHION_CENSUS_CLAIMS
     expected = {s: claims["per_s_low" if s <= 8 else "per_s_high"] for s in sweep_range(5)}
@@ -482,7 +511,7 @@ def _section_census() -> Iterator[CheckResult]:
     )
 
 
-def _section_tripsync() -> Iterator[CheckResult]:
+def _section_tripsync(run: _Run) -> Iterator[CheckResult]:
     # No fixture holds n = 6 counts, so the sample's 35 kites per s <= 8 and
     # 7 at s = 17 are written here as literal data, not read from census(6),
     # which counts with the same search the sweep runs.
@@ -497,7 +526,7 @@ def _section_tripsync() -> Iterator[CheckResult]:
                      (kites, True), (sweep.kite_count, sweep.all_passed))
 
 
-SECTION_RUNNERS: dict[str, Callable[[], Iterator[CheckResult]]] = {
+SECTION_RUNNERS: dict[str, Callable[[_Run], Iterator[CheckResult]]] = {
     "trips": _section_trips,
     "fabric": _section_fabric,
     "strut-table": _section_strut_table,
@@ -524,9 +553,9 @@ def run_verification(sections=None) -> VerificationReport:
         raise ValueError(f"unknown verification sections: {unknown}")
     if not selected:
         raise ValueError(f"name at least one verification section of: {','.join(SECTIONS)}")
-    report = VerificationReport(selected)
+    report, run = VerificationReport(selected), _Run()
     for name in selected:
-        report.results.extend(SECTION_RUNNERS[name]())
+        report.results.extend(SECTION_RUNNERS[name](run))
     if set(selected) == set(SECTIONS):
         consumed = {r.fixture for r in report.results if r.fixture}
         report.results.append(

@@ -686,6 +686,18 @@ class TestVerifyCommand:
         assert main(["verify", "--sections", "trips"]) == 0
         assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)
 
+    def test_each_section_alone_equals_its_slice_of_a_full_run(self):
+        # a run shares what its sections build among them only: no section
+        # needs another to have run first, and a run leaves nothing to the next
+        full = run_verification()
+        by_section = {name: [r for r in full.results if r.section == name] for name in SECTIONS}
+        for name in SECTIONS:
+            assert run_verification([name]).results == by_section[name], name
+        backwards = run_verification(SECTIONS[::-1]).results
+        for name in SECTIONS:
+            assert [r for r in backwards if r.section == name] == by_section[name], name
+        assert run_verification().to_payload() == full.to_payload()
+
     def test_all_sections_listed(self):
         assert set(SECTIONS) == {
             "trips", "fabric", "strut-table", "edge-signs", "loops",

@@ -252,7 +252,7 @@ class TestZDGraph:
 
 
 class TestSignTableUse:
-    """Entry points that take one object, at any n, read ``blade_sign`` only."""
+    """Entry points that take one object, at any n, build no table."""
 
     def test_object_entry_points_build_no_table(self, monkeypatch):
         kites = [build_box_kite(s) for s in range(1, 8)] + find_box_kites(5, 9)
@@ -444,8 +444,8 @@ class TestFindBoxKites:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_graph_signs_agree_with_validating_constructor(self, n):
-        # the search's graph reads the sign table; each kite's constructor
-        # computes its 12 edge signs with edge_sign
+        # the graph's pair dict and each kite's constructor read the same
+        # held sign table (test_kites.TestSignSources checks blade_sign's rows)
         for s in range(1, 1 << (n - 1)):
             signs = zd_graph(n, s).signs
             for kite in find_box_kites(n, s):

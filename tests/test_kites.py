@@ -16,7 +16,7 @@ from boxkites.fixtures import (
     TRIGRAM_SWITCHED,
     TRIGRAM_UNSWITCHED,
 )
-from boxkites.algebra import hc_mul, trip_orientation
+from boxkites.algebra import hc_mul, held_sign_table, sign_table, trip_orientation
 from boxkites import kites
 from boxkites.emanation import find_box_kites, pathion_lift
 from boxkites.kites import (
@@ -30,6 +30,7 @@ from boxkites.kites import (
     assessors_for_strut,
     automorpheme,
     build_box_kite,
+    edge_rule,
     edge_sign,
     goto_numbers,
     is_zero_divisor_pair,
@@ -254,15 +255,15 @@ class TestStrutTable:
         (lambda: [parse_box_kite(box_kite_payload(bk1()))], 2),
         (lambda: find_box_kites(6, 25), 87),
     ], ids=["build_box_kite", "pathion_lift", "parse_box_kite", "find_box_kites"])
-    def test_each_kite_makes_fifteen_edge_sign_calls(self, build, kites_built, monkeypatch):
+    def test_each_kite_checks_fifteen_pairs(self, build, kites_built, monkeypatch):
         # the constructor's 12 edges and 3 struts, however the kite is built
         calls = []
 
-        def counted(a1, a2):
-            calls.append((a1, a2))
-            return edge_sign(a1, a2)
+        def counted(*signs):
+            calls.append(signs)
+            return edge_rule(*signs)
 
-        monkeypatch.setattr(kites, "edge_sign", counted)
+        monkeypatch.setattr(kites, "edge_rule", counted)
         build()
         assert len(calls) == 15 * kites_built
 
@@ -285,6 +286,45 @@ class TestStrutTable:
             assert bk.edge_signs == tuple(
                 edge_sign(bk.vertex(p), bk.vertex(q)) for p, q in EDGE_LETTER_PAIRS
             )
+
+
+def rebuilt_holding(level, kites):
+    """The kites built again while the sign table of ``level`` is held."""
+    sign_table(level)
+    return [BoxKite(kite.n, kite.s, kite.vertices) for kite in kites]
+
+
+class TestSignSources:
+    """The constructor reads a kite's pair signs from its level's sign table
+    when that level is held, from ``blade_sign`` otherwise; both agree."""
+
+    @pytest.mark.parametrize("n, s_values", [
+        (4, range(1, 8)), (5, range(1, 16)), (6, range(1, 32)), (7, (25, 41)),
+    ])
+    def test_both_sources_give_the_same_edge_signs(self, n, s_values):
+        for s in s_values:
+            kites = find_box_kites(n, s)
+            assert held_sign_table(n) is not None
+            from_table = rebuilt_holding(n, kites)
+            from_blade_sign = rebuilt_holding(n - 1, kites)
+            assert held_sign_table(n) is None
+            assert [k.edge_signs for k in from_table] == [k.edge_signs for k in kites], s
+            assert [k.edge_signs for k in from_blade_sign] == [k.edge_signs for k in kites], s
+
+    @pytest.mark.parametrize("other", [False, True], ids=["own-level", "other-level"])
+    @pytest.mark.parametrize("shell, message", [
+        (lambda k: (4, 1, b_and_f_swapped(k)), "^edge A-B carries no zero divisor$"),
+        (lambda k: (5, 1, tuple(Assessor(5, o, o ^ 17) for o in (2, 4, 6, 8, 10, 12))),
+         "^strut A-F carries a zero divisor$"),
+        (lambda k: (4, 1, k.vertices[:3] + (Assessor(4, 4, 4 ^ 10),) + k.vertices[4:]),
+         r"^vertex D = \(4,14\) does not carry X = 9$"),
+    ], ids=["edge-without-zero-divisor", "strut-with-one", "vertex-off-x"])
+    def test_doctored_kites_refused_alike(self, shell, message, other):
+        n, s, vertices = shell(bk1())
+        sign_table(n - 1 if other else n)
+        assert (held_sign_table(n) is None) == other
+        with pytest.raises(ValueError, match=message):
+            BoxKite(n, s, vertices)
 
 
 class TestSails:
