@@ -24,46 +24,36 @@ from .kites import (
     assessors_for_strut,
     check_level,
     check_strut,
-    edge_rule,
 )
 
 
 @dataclass(frozen=True)
 class ZDGraph:
-    """Zero-divisor adjacency over the assessors of (n, s), with edge signs.
+    """The zero-divisor graph of (n, s) as masks, one row per low a < 2^(n-1).
 
-    Within one (n, s) an assessor is fixed by its low index, so ``signs`` is
-    keyed by pairs a < b of the lows ``kites.assessor_lows`` gives, never s.
+    A vertex is an assessor (a, a ^ X), fixed within one (n, s) by its low
+    a, never 0 or s.  Bit b of ``adjacency[a]`` is set iff lows a and b
+    carry an edge; rows 0 and s are 0.  ``plus`` packs a row of 2^(n-1)
+    bits per low, row a from byte a * 2^(n-4): at an edge a-b, bit b is set
+    iff the edge is "+", T[a][b] ^ T[A][B] = 1 for the sign table T and the
+    highs A, B.  Off the edges its bits mean nothing.
     """
 
     n: int
     s: int
-    signs: dict[tuple[int, int], int]
+    adjacency: list[int]
+    plus: bytes
 
-    @property
-    def assessors(self) -> tuple[Assessor, ...]:
-        """The vertices as assessors, ascending by low; built on each request."""
-        return tuple(assessors_for_strut(self.s, self.n))
-
-
-def zd_graph(n: int, s: int) -> ZDGraph:
-    """Every pairwise edge sign, by ``edge_rule`` on rows of the sign table.
-
-    Its C(2^(n-1) - 2, 2) pair tests, about 4^n / 8 of four lookups each,
-    are work of the order of the table's 4^n bytes.  It is the source of the
-    DOT target and the reference for ``_adjacency``, which the search reads.
-    """
-    lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
-    table, x = sign_table(n), _strut_x(n, s)
-    ends = [(o, o ^ x) for o in lows]
-    signs = {}
-    for i, (a, big_a) in enumerate(ends):
-        row, big_row = table[a], table[big_a]
-        for b, big_b in ends[i + 1 :]:
-            sign = edge_rule(row[b], big_row[big_b], row[big_b], big_row[b])
-            if sign is not None:
-                signs[a, b] = sign
-    return ZDGraph(n, s, signs)
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Each edge (a, b, sign), a < b, ascending by a then b; sign 1 for "+",
+        -1 for "-"."""
+        plus, shift = self.plus, self.n - 4
+        for a, row in enumerate(self.adjacency):
+            later, at = row & -(2 << a), a << shift
+            while later:
+                b = (later & -later).bit_length() - 1
+                later &= later - 1
+                yield a, b, 1 if plus[at | b >> 3] >> (b & 7) & 1 else -1
 
 
 def _vertex_bits(n: int, s: int) -> int:
@@ -71,23 +61,23 @@ def _vertex_bits(n: int, s: int) -> int:
     return (1 << (1 << (n - 1))) - 2 & ~(1 << s)
 
 
-def _block_swaps(width: int, unit: int) -> list[tuple[int, int]]:
+def _block_swaps(width: int) -> list[tuple[int, int]]:
     """For each bit k of an index below ``width``: the shift and mask that swap,
-    in an int of ``width`` fields of ``unit`` bits, field j with field j ^ 2^k."""
+    in an int of ``width`` bits, bit j with bit j ^ 2^k."""
     swaps, k = [], 1
     while k < width:
-        mask, period = (1 << unit * k) - 1, 2 * unit * k  # k fields set, k clear, repeated
-        while period < unit * width:
+        mask, period = (1 << k) - 1, 2 * k  # k bits set, k clear, repeated
+        while period < width:
             mask |= mask << period
             period *= 2
-        swaps.append((unit * k, mask))
+        swaps.append((k, mask))
         k *= 2
     return swaps
 
 
 def _permuted(x: int, s: int, swaps: list[tuple[int, int]]) -> int:
-    """``x`` with field j moved to field j ^ s: one block swap of ``swaps``
-    (from ``_block_swaps``) per set bit of s."""
+    """``x`` with bit j moved to bit j ^ s: one block swap of ``swaps`` (from
+    ``_block_swaps``) per set bit of s."""
     for k, (shift, mask) in enumerate(swaps):
         if s >> k & 1:
             x = (x & mask) << shift | (x >> shift) & mask
@@ -99,56 +89,59 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=1)
-def _level_bits(n: int) -> tuple[list[int], list, list]:
-    """Level n's sign table T packed a bit per product for ``_adjacency``, kept
+def _level_bits(n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Level n's sign table T packed a bit per product for ``zd_graph``, kept
     for the last level asked for, as ``sign_table`` keeps its rows.
 
-    T in quarters, each one int with bit a * 2^(n-1) + b set iff T[a][b] is
-    1, a and b counted within their halves: the low rows (a < 2^(n-1)) at the
-    low and at the high columns, then the high rows likewise.  With them,
-    the block swaps that move whole rows of a quarter, and those that move
-    bits within every row of it.
+    The low rows of T (a < 2^(n-1)) as two ints, one per half of the
+    columns, with bit a * 2^(n-1) + b set iff T[a][b] is 1, b counted within
+    its half; ``zd_graph`` needs no high row.  With them, the block swaps
+    that move bit i of such an int to bit i ^ 2^k for each k: bits within
+    every row for k < n - 1, whole rows above.
     """
     table, half = sign_table(n), 1 << (n - 1)
-    quarters = [int(b"".join(row[columns] for row in rows)[::-1].translate(_DIGITS), 2)
-                for rows in (table[:half], table[half:])
-                for columns in (slice(half), slice(half, None))]
-    width = half // 8  # bytes in a row of a quarter
-    bit_swaps = [(shift, int.from_bytes(mask.to_bytes(width, "little") * half, "little"))
-                 for shift, mask in _block_swaps(half, 1)]
-    return quarters, _block_swaps(half, half), bit_swaps
+    halves = [int(b"".join(row[columns] for row in table[:half])[::-1].translate(_DIGITS), 2)
+              for columns in (slice(half), slice(half, None))]
+    return halves, _block_swaps(half * half)
 
 
-def _adjacency(n: int, s: int) -> list[int]:
-    """Adjacency masks of ``zd_graph(n, s)``: bit b of element a is set iff
-    lows a and b carry an edge; elements 0 and s, never vertices, are 0.
+def zd_graph(n: int, s: int) -> ZDGraph:
+    """The zero-divisor graph of (n, s), edges and signs: the one place they
+    are formed, for the census, the kite search, DOT and verify.
 
-    From rows of the sign table T, a and b with highs A and B = b ^ X carry
-    an edge iff T[a][b] ^ T[A][B] ^ T[a][B] ^ T[A][b] is 0, where
-    A = 2^(n-1) + (a ^ s) and B = 2^(n-1) + (b ^ s).  So on the quarters of
-    ``_level_bits``, move the high rows by a -> a ^ s and XOR them into the
-    low rows, move the bits of the high columns by b -> b ^ s and XOR them
-    into the low columns, and the clear bits are the edges, a row per low:
-    whole-level big-int passes, one block swap per set bit of s in each
-    move, then one slice per low.  ``zd_graph`` is the reference.
+    For lows a, b and highs A = 2^(n-1) + (a ^ s), B = 2^(n-1) + (b ^ s),
+    ``kites.edge_rule`` on rows of the sign table T makes a-b an edge iff
+    T[a][b] ^ T[A][B] ^ T[a][B] ^ T[A][b] is 0, and "+" iff
+    T[a][b] ^ T[A][B] is 1.  By the doubling that builds T (``sign_table``),
+    the high row 2^(n-1) + c is row c negated at the low columns but 0, and
+    row c itself at the high columns but 2^(n-1).  As b is never 0 or s,
+    T[A][b] = 1 ^ T[a ^ s][b] and T[A][B] = T[a ^ s][B].  So "+" is
+    T[a][b] ^ T[a ^ s][B], and with R[a][b] = T[a][b] ^ T[a][B], a-b is an
+    edge iff R[a][b] ^ R[a ^ s][b] is 1.  On the halves of ``_level_bits``
+    that is three moves, b -> b ^ s within rows and twice a -> a ^ s of
+    whole rows, each a whole-level big-int pass of one block swap per set
+    bit of s, then one slice per low for the adjacency; ``plus`` stays
+    packed.  A pair-by-pair ``edge_rule`` scan of the sign table is the
+    reference.
     """
-    lows = assessor_lows(s, n)  # refuses (n, s) before the table or X is formed
-    (low_low, low_high, high_low, high_high), row_swaps, bit_swaps = _level_bits(n)
-    at_b = low_low ^ _permuted(high_low, s, row_swaps)  # T[a][b] ^ T[A][b]
-    at_big_b = low_high ^ _permuted(high_high, s, row_swaps)  # T[a][B] ^ T[A][B], at b ^ s
+    lows = assessor_lows(s, n)  # refuses (n, s) before any table is built
+    (low_low, low_high), swaps = _level_bits(n)
     half = 1 << (n - 1)
-    width, vertices = half // 8, _vertex_bits(n, s)  # bytes in a row of a quarter
-    non_edges = (at_b ^ _permuted(at_big_b, s, bit_swaps)).to_bytes(half * width, "little")
+    rows, width, vertices = s << (n - 1), half // 8, _vertex_bits(n, s)  # bytes in a row
+    at_big_b = _permuted(low_high, s, swaps)  # T[a][B]
+    plus = low_low ^ _permuted(at_big_b, rows, swaps)  # T[a][b] ^ T[a ^ s][B]
+    r = low_low ^ at_big_b  # R[a][b]
+    edges = (r ^ _permuted(r, rows, swaps)).to_bytes(half * width, "little")
     adjacency = [0] * half
     for a in lows:
-        row = int.from_bytes(non_edges[a * width:(a + 1) * width], "little")
-        adjacency[a] = ~row & vertices & ~(1 << a)
-    return adjacency
+        row = int.from_bytes(edges[a * width:(a + 1) * width], "little")
+        adjacency[a] = row & vertices & ~(1 << a)
+    return ZDGraph(n, s, adjacency, plus.to_bytes(half * width, "little"))
 
 
-def _kite_struts(n: int, s: int, adjacency: list[int]):
+def _kite_struts(graph: ZDGraph):
     """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite of the
-    graph on the lows of (n, s) with these adjacency masks.
+    graph, read from its adjacency masks alone.
 
     Non-edges are bucketed by low XOR t, in order of their first pair
     (a, b), a < b, in lexicographic order; a bucket holds the smaller lows.
@@ -165,6 +158,7 @@ def _kite_struts(n: int, s: int, adjacency: list[int]):
     graphs only the order condition ever rejects (checked for n <= 8, tested
     for n <= 7); the others keep the search exact on any graph.
     """
+    n, s, adjacency = graph.n, graph.s, graph.adjacency
     vertices = _vertex_bits(n, s)
     buckets: dict[int, list[int]] = {}
     for a in assessor_lows(s, n):
@@ -197,16 +191,15 @@ def _kite_struts(n: int, s: int, adjacency: list[int]):
 
 def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
     """Each box-kite's lows by letter, A to F, ordered by (ABC lows, strut lows):
-    the one entry to the lettered kites of (n, s).  The search runs at the
-    call, so a bad (n, s) is refused there, before any table is built.
+    the one entry to the lettered kites of (n, s).  The graph is built at
+    the call, so a bad (n, s) is refused there, before any table is built.
 
     A, B, C take the sail the ``kites`` module names, its lows in ASO order
-    (positive, smallest first): the least zigzag, all three edges "-", or
-    on a kite with none the least sail.  F, E, D are their strut partners.
-    Each sail has lows p, q and p^q, p and q on the first two struts; from
-    rows of the sign table T, ``edge_rule`` makes edge p-q, highs P and Q,
-    "-" iff T[p][q] = T[P][Q], and lows a < b < c are in ASO order as
-    (a, c, b) iff T[a][b] is 1.
+    (positive, smallest first): the least zigzag, all three edges "-" in
+    the graph's ``plus``, or on a kite with none the least sail.  F, E, D
+    are their strut partners.  Each sail has lows p, q and p^q, p and q on
+    the first two struts.  The sign table T is read only for a face's ASO
+    order: lows a < b < c are in it as (a, c, b) iff T[a][b] is 1.
 
     A zigzag is also the sail whose four slot triples, in ASO order, are
     all positive.  With lows a, b, c (e_a e_b = +e_c) and highs A, B, C,
@@ -214,18 +207,20 @@ def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
     sgn(c,a) = +1, a-b, b-c and c-a are "-" iff (A,B,c), (a,B,C) and
     (A,b,C) are positive; (a,b,c) is positive by its order.
     """
-    adjacency = _adjacency(n, s)  # refuses (n, s) before the table or X is formed
-    table, x, w = sign_table(n), _strut_x(n, s), n - 1
+    graph = zd_graph(n, s)  # refuses (n, s) before any table is built
+    table, width, w = sign_table(n), 1 << (n - 4), n - 1  # bytes in a row of plus
+    # the "+" rows as ints: each kite tests 12 of their bits
+    plus = [int.from_bytes(graph.plus[i:i + width], "little")
+            for i in range(0, len(graph.plus), width)]
     keyed = []  # one int per kite, ordered as its (ABC lows, strut lows)
-    for struts in _kite_struts(n, s, adjacency):
+    for struts in _kite_struts(graph):
         u1, v1, u2, v2 = struts[:4]
         zigzags, trefoils = [], []
         for p in (u1, v1):
-            row, big_row = table[p], table[p ^ x]
+            row = plus[p]
             for q in (u2, v2):
                 r = p ^ q  # the sail's low on the third strut
-                zigzag = (row[q] == big_row[q ^ x] and row[r] == big_row[r ^ x]
-                          and table[q][r] == table[q ^ x][r ^ x])
+                zigzag = not (row >> q & 1 or row >> r & 1 or plus[q] >> r & 1)  # no edge "+"
                 (zigzags if zigzag else trefoils).append((p, q, r))
         abc = None
         for face in zigzags or trefoils:
@@ -517,7 +512,8 @@ def census(n: int) -> CensusReport:
     last_reader = {r: s for s, r in sources.items()}
     per_s, held = {}, {}
     for s in s_values:
-        adjacency, r = _adjacency(n, s), sources[s]
+        graph, r = zd_graph(n, s), sources[s]
+        adjacency = graph.adjacency
         if r != s:
             source = held.pop(r) if last_reader[r] == s else held[r]
             if s & 7:
@@ -531,5 +527,5 @@ def census(n: int) -> CensusReport:
             sources[s] = s
         elif last_reader[s] != s:
             held[s] = adjacency
-        per_s[s] = sum(1 for _ in _kite_struts(n, s, adjacency))
+        per_s[s] = sum(1 for _ in _kite_struts(graph))
     return CensusReport(n, per_s, sources)

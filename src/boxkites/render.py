@@ -40,6 +40,7 @@ from .kites import (
     Assessor,
     BoxKite,
     _strut_x,
+    assessor_lows,
     build_box_kite,
     check_level,
     check_strut,
@@ -59,7 +60,7 @@ ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 FORMATS = ("markdown", "csv", "json", "dot")
 
 # Largest n whose every strut constant is searched on request (the n = 8
-# census takes about 0.25 s, its trip-sync sweep about 6-7 s written out as JSON).
+# census takes about 0.15 s, its trip-sync sweep about 6-7 s written out as JSON).
 # Its 127 x 7,875 = 1,000,125 assessor pairs bound the search of every
 # request: its time, not its memory, as the sweep keeps no kite it wrote.
 MAX_WHOLE_LEVEL_N = 8
@@ -263,10 +264,10 @@ def census_payload(report: CensusReport) -> dict:
 
 def dot_zd_graph(n: int, s: int) -> str:
     """DOT text for the zero-divisor graph; vertices named o_hi."""
-    graph = zd_graph(n, s)
-    vertex = {v.o: f'"{v.o}_{v.hi}"' for v in graph.assessors}
+    graph, x = zd_graph(n, s), _strut_x(n, s)
+    vertex = {o: f'"{o}_{o ^ x}"' for o in assessor_lows(s, n)}
     lines = [f'graph zd_{n}_{s} {{', *(f"  {name};" for name in vertex.values())]
-    for (a, b), sign in graph.signs.items():
+    for a, b, sign in graph.edges():
         lines.append(f'  {vertex[a]} -- {vertex[b]} [sign="{"+" if sign > 0 else "-"}"];')
     return "\n".join(lines) + "\n}\n"
 

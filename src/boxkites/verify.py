@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import Callable, Iterator
 
 from . import fixtures
@@ -28,6 +27,7 @@ from .kites import (
     EDGE_LETTER_PAIRS,
     LETTERS,
     BoxKite,
+    assessor_lows,
     assessors_for_strut,
     automorpheme,
     build_box_kite,
@@ -255,14 +255,16 @@ def _section_edge_signs(run: _Run) -> Iterator[CheckResult]:
         )
     # The closed-form edge signs are checked against the four hc_mul
     # products, with the dichotomy asserted, by the test suite's oracle;
-    # here the graphs' edge and strut counts are checked for all 7 s.
+    # here the graphs' edges and struts, non-edges between vertices, are
+    # counted for all 7 s from the popcounts of their adjacency masks.
     for s in sweep_range(4):
-        graph = zd_graph(4, s)
+        adjacency = zd_graph(4, s).adjacency
+        degrees = [adjacency[o].bit_count() for o in assessor_lows(s, 4)]
         yield _check(
             f"edge-signs/graph-{s}",
             f"strut constant {s}: 12 zero-divisor edges, 3 clean struts",
             (12, 3),
-            (len(graph.signs), comb(len(graph.assessors), 2) - len(graph.signs)),
+            (sum(degrees) // 2, sum(len(degrees) - 1 - d for d in degrees) // 2),
         )
 
 

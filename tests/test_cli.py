@@ -123,7 +123,6 @@ class TestEmit:
             raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
-        monkeypatch.setattr(emanation, "_adjacency", no_search)
         target = tmp_path / "missing" / "x.txt"
         with pytest.raises(SystemExit) as err:
             main(["emit", "census", "--dim", "256", "--out", str(target)])
@@ -227,7 +226,6 @@ class TestEmit:
             raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
-        monkeypatch.setattr(emanation, "_adjacency", no_search)
         monkeypatch.setattr(render, "zd_graph", no_search)
         with pytest.raises(AssertionError):
             main(["emit", "pathion", "--strut", "9"])
@@ -494,7 +492,6 @@ class TestSweepStream:
             raise AssertionError(f"graph of ({n}, {s}) built")
 
         monkeypatch.setattr(emanation, "zd_graph", no_search)
-        monkeypatch.setattr(emanation, "_adjacency", no_search)
         target = tmp_path / "missing" / "x.json"
         with pytest.raises(SystemExit) as err:
             main(["emit", "tripsync", "--dim", "256", "--out", str(target)])

@@ -31,25 +31,55 @@ from boxkites.kites import (
     LETTERS,
     Assessor,
     BoxKite,
+    assessor_lows,
     assessors_for_strut,
     build_box_kite,
+    edge_rule,
     edge_sign,
     slot_trips,
 )
 from boxkites.lariats import quizzical_tables, switching_yard, trip_sync_report
 
 
+def reference_graph(n, s):
+    """Every edge sign of (n, s) as a pair dict, pair by pair: ``edge_rule``
+    on rows of the sign table, keyed by lows a < b in lexicographic order.
+    The oracle for ``zd_graph``'s masks."""
+    lows = assessor_lows(s, n)
+    table, x = sign_table(n), (1 << (n - 1)) + s
+    ends = [(o, o ^ x) for o in lows]
+    signs = {}
+    for i, (a, big_a) in enumerate(ends):
+        row, big_row = table[a], table[big_a]
+        for b, big_b in ends[i + 1 :]:
+            sign = edge_rule(row[b], big_row[big_b], row[big_b], big_row[b])
+            if sign is not None:
+                signs[a, b] = sign
+    return signs
+
+
+def graph_from_signs(n, s, signs):
+    """The ``ZDGraph`` whose edges and signs are those of a pair dict."""
+    half = 1 << (n - 1)
+    adjacency, plus = [0] * half, bytearray(half * half // 8)
+    for (a, b), sign in signs.items():
+        for p, q in ((a, b), (b, a)):
+            adjacency[p] |= 1 << q
+            plus[(p * half + q) // 8] |= (sign > 0) << q % 8
+    return ZDGraph(n, s, adjacency, bytes(plus))
+
+
 def reference_search(n, s):
     """The search the strut buckets replaced: every triple of non-edges in
     one global order, each induced octahedron once, then labelled by
     scanning all 20 vertex triples for XOR-closed transversal faces."""
-    graph = zd_graph(n, s)
-    assessors = graph.assessors
+    signs = reference_graph(n, s)
+    assessors = assessors_for_strut(s, n)
     adjacency = [0] * len(assessors)
     non_edges = []
     for i, j in combinations(range(len(assessors)), 2):
         u, v = assessors[i].o, assessors[j].o
-        if (min(u, v), max(u, v)) not in graph.signs:
+        if (min(u, v), max(u, v)) not in signs:
             non_edges.append((i, j))
         else:
             adjacency[i] |= 1 << j
@@ -113,17 +143,18 @@ def reference_label(n, s, antipodes):
     return BoxKite.assemble(n, s, vertex_map)
 
 
-def bucket_scan(graph):
-    """Strut low triples by scanning whole strut-XOR buckets: three
-    disjoint non-edges in bucket order, all twelve cross pairs edges, and the
-    lows of the first two struts XOR-closing onto the third."""
+def bucket_scan(n, s, signs):
+    """Strut low triples of the graph on the lows of (n, s) with the edges
+    of a pair dict, by scanning whole strut-XOR buckets: three disjoint
+    non-edges in bucket order, all twelve cross pairs edges, and the lows of
+    the first two struts XOR-closing onto the third."""
     buckets = {}
-    for a, b in combinations([v.o for v in graph.assessors], 2):
-        if (a, b) not in graph.signs:
+    for a, b in combinations(assessor_lows(s, n), 2):
+        if (a, b) not in signs:
             buckets.setdefault(a ^ b, []).append((a, b))
 
     def adjacent(p, q):
-        return (min(p, q), max(p, q)) in graph.signs
+        return (min(p, q), max(p, q)) in signs
 
     found = []
     for bucket in buckets.values():
@@ -178,42 +209,44 @@ class TestAssessorEnumeration:
             assessors_for_strut(16, 5)
 
 
-def graph_adjacency(graph):
-    """The search's adjacency masks, read from a graph's signs: bit b of
-    element a is set iff lows a and b carry an edge."""
-    adjacency = [0] * (1 << (graph.n - 1))
-    for a, b in graph.signs:
-        adjacency[a] |= 1 << b
-        adjacency[b] |= 1 << a
-    return adjacency
-
-
 def non_adjacent_pairs(graph):
-    """Low pairs (a, b), a < b, of the graph's assessors that carry no edge."""
-    lows = [v.o for v in graph.assessors]
-    return [pair for pair in combinations(lows, 2) if pair not in graph.signs]
+    """Low pairs (a, b), a < b, of the graph's vertices that carry no edge."""
+    lows = assessor_lows(graph.s, graph.n)
+    return [(a, b) for a, b in combinations(lows, 2) if not graph.adjacency[a] >> b & 1]
+
+
+def assert_graph_is(graph, signs):
+    """``graph`` has the pair dict's edges and signs, in edge order, with each
+    edge's sign in the "+" rows of both its ends."""
+    assert list(graph.edges()) == [(a, b, sign) for (a, b), sign in signs.items()], graph.s
+    assert graph.adjacency == graph_from_signs(graph.n, graph.s, signs).adjacency, graph.s
+    width = len(graph.plus) >> (graph.n - 1)
+    for (a, b), sign in signs.items():
+        row = int.from_bytes(graph.plus[b * width:(b + 1) * width], "little")
+        assert row >> a & 1 == (sign > 0), (graph.s, a, b)
 
 
 class TestZDGraph:
     def test_sedenion_graph_is_octahedron(self):
         graph = zd_graph(4, 1)
-        assert len(graph.assessors) == 6
-        assert len(graph.signs) == 12
+        assert sum(1 for row in graph.adjacency if row) == 6
+        assert len(list(graph.edges())) == 12
         assert len(non_adjacent_pairs(graph)) == 3
 
     def test_pathion_s1_graph(self):
         graph = zd_graph(5, 1)
-        assert len(graph.assessors) == 14
+        assert sum(1 for row in graph.adjacency if row) == 14
         # complete minus the strut matching: every non-strut pair divides zero
         assert len(non_adjacent_pairs(graph)) == 7
-        assert len(graph.signs) == 14 * 13 // 2 - 7
+        assert len(list(graph.edges())) == 14 * 13 // 2 - 7
 
     def test_edge_signs_recorded(self):
         graph = zd_graph(4, 1)
-        lows = [v.o for v in graph.assessors]
-        for (a, b), sign in graph.signs.items():
+        lows = assessor_lows(1, 4)
+        for a, b, sign in graph.edges():
             assert sign in (-1, 1)
             assert a < b and a in lows and b in lows
+            assert graph.adjacency[b] >> a & 1  # each edge in both rows
         # the pairs left out are the struts, whose lows XOR to s
         assert all(a ^ b == graph.s for a, b in non_adjacent_pairs(graph))
 
@@ -224,22 +257,23 @@ class TestZDGraph:
         for s in range(1, 1 << (n - 1)):
             graph = zd_graph(n, s)
             expected = [
-                ((u.o, v.o), edge_sign(u, v))
-                for u, v in combinations(graph.assessors, 2)
+                (u.o, v.o, edge_sign(u, v))
+                for u, v in combinations(assessors_for_strut(s, n), 2)
             ]
-            assert list(graph.signs.items()) == [e for e in expected if e[1] is not None], s
+            assert list(graph.edges()) == [e for e in expected if e[2] is not None], s
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_row_masks_match_the_graph(self, n):
-        # the search's masks come from sign-table rows, a whole row at a time
+        # the masks come from the packed level, whole rows at a time; the pair
+        # dict from edge_rule on sign-table rows, one pair at a time
         for s in range(1, 1 << (n - 1)):
-            assert emanation._adjacency(n, s) == graph_adjacency(zd_graph(n, s)), s
+            assert_graph_is(zd_graph(n, s), reference_graph(n, s))
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_packed_masks_match_the_graph_above_n7(self, n):
         # s = 1, the least s with bit n - 2 set, and the s with every bit set
         for s in (1, (1 << (n - 2)) + 1, (1 << (n - 1)) - 1):
-            assert emanation._adjacency(n, s) == graph_adjacency(zd_graph(n, s)), s
+            assert_graph_is(zd_graph(n, s), reference_graph(n, s))
 
     def test_packed_level_is_kept_for_one_level(self):
         packed = emanation._level_bits
@@ -330,12 +364,12 @@ class TestFindBoxKites:
 
     def test_every_found_kite_keeps_octahedral_invariants(self):
         for s in (1, 8, 9):
-            graph = zd_graph(5, s)
+            adjacency = zd_graph(5, s).adjacency
             for kite in find_box_kites(5, s):
                 assert len(kite.edge_signs) == 12
                 for v1, v2 in kite.struts:
                     assert edge_sign(v1, v2) is None
-                    assert (min(v1.o, v2.o), max(v1.o, v2.o)) not in graph.signs
+                    assert not adjacency[v1.o] >> v2.o & 1
                 for sail in kite.sails:
                     lows = [v.o for v in sail.vertices]
                     assert lows[0] ^ lows[1] ^ lows[2] == 0
@@ -373,13 +407,13 @@ class TestFindBoxKites:
     def test_search_against_brute_force_oracle(self, n, s, raw_expected, kite_expected):
         # independent oracle: scan every 6-subset for induced octahedra, then
         # keep those with a shared strut XOR and an XOR-closed transversal
-        graph = zd_graph(n, s)
+        signs = reference_graph(n, s)
         raw, qualifying = [], []
-        for six in combinations(graph.assessors, 2 * 3):
+        for six in combinations(assessors_for_strut(s, n), 2 * 3):
             non_adj = [
                 (u, v)
                 for u, v in combinations(six, 2)
-                if (min(u.o, v.o), max(u.o, v.o)) not in graph.signs
+                if (min(u.o, v.o), max(u.o, v.o)) not in signs
             ]
             if len(non_adj) != 3:
                 continue
@@ -415,39 +449,38 @@ class TestFindBoxKites:
         # the algebra's graphs never trip the search's guards (a third low
         # equal to s, a third pair that is an edge or misses an adjacency),
         # so flip one pair in eight and compare with a scan of whole buckets
-        graph = zd_graph(n, s)
+        reference = reference_graph(n, s)
         rng = random.Random(seed)
         signs = {}
-        for pair in combinations([v.o for v in graph.assessors], 2):
-            sign = graph.signs.get(pair)
+        for pair in combinations(assessor_lows(s, n), 2):
+            sign = reference.get(pair)
             if rng.random() < 1 / 8:
                 sign = None if sign else 1
             if sign:
                 signs[pair] = sign
-        doctored = ZDGraph(n, s, signs)
-        assert list(emanation._kite_struts(n, s, graph_adjacency(doctored))) == bucket_scan(doctored)
+        doctored = graph_from_signs(n, s, signs)
+        assert list(emanation._kite_struts(doctored)) == bucket_scan(n, s, signs)
 
     @pytest.mark.parametrize("s", [2, 7, 14])
     def test_closure_search_when_a_third_low_is_s(self, s):
         # complete graph minus one low-XOR class t: for t = s ^ (s + 1) the
         # closure of two struts can land on the absent low s, which the
         # search rejects only because no adjacency bit of s is ever set
-        assessors = tuple(assessors_for_strut(s, 5))
         for t in range(1, 16):
             signs = {
                 (a, b): 1
-                for a, b in combinations([v.o for v in assessors], 2)
+                for a, b in combinations(assessor_lows(s, 5), 2)
                 if a ^ b != t
             }
-            graph = ZDGraph(5, s, signs)
-            assert list(emanation._kite_struts(5, s, graph_adjacency(graph))) == bucket_scan(graph), t
+            graph = graph_from_signs(5, s, signs)
+            assert list(emanation._kite_struts(graph)) == bucket_scan(5, s, signs), t
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_graph_signs_agree_with_validating_constructor(self, n):
-        # the graph's pair dict and each kite's constructor read the same
-        # held sign table (test_kites.TestSignSources checks blade_sign's rows)
+        # the graph's masks and each kite's constructor read the same held
+        # sign table (test_kites.TestSignSources checks blade_sign's rows)
         for s in range(1, 1 << (n - 1)):
-            signs = zd_graph(n, s).signs
+            signs = {(a, b): sign for a, b, sign in zd_graph(n, s).edges()}
             for kite in find_box_kites(n, s):
                 graph_signs = tuple(signs[tuple(sorted((kite.vertex(p).o, kite.vertex(q).o)))]
                                     for p, q in EDGE_LETTER_PAIRS)
@@ -515,22 +548,20 @@ class TestZigzagRule:
     ])
     def test_labelling_counts_all_three_edges(self, patterns, chosen, monkeypatch):
         # on the algebra's kites every sail has one or three "-" edges, so
-        # doctor the sign table the labelling reads: each edge lies on one
-        # sail, and the faces, in the labelling's order, take these signs on
-        # their edges (v0-v1, v1-v2, v2-v0).  An edge p-q is "-" when the
-        # highs' byte T[P][Q] equals T[p][q]; the lows' rows stay as they are.
+        # doctor the graph's "+" rows the labelling reads: each edge lies on
+        # one sail, and the faces, in the labelling's order, take these signs
+        # on their edges (v0-v1, v1-v2, v2-v0), in both rows of each edge.
+        # The edges and the sign table, read for the ASO order, stay as they are.
         graph = zd_graph(4, 1)
-        adjacency = graph_adjacency(graph)  # the graph, not the doctored table, has the edges
-        x = graph.assessors[0].x
         faces = sorted(aso_form(v.o for v in sail.vertices) for sail in find_box_kites(4, 1)[0].sails)
-        table = [bytearray(row) for row in sign_table(4)]
+        plus = bytearray(graph.plus)  # a row of one byte per low at n = 4
         for lows, pattern in zip(faces, patterns):
             u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
-                high_byte = table[p][q] if mark == "-" else 1 - table[p][q]
-                table[p ^ x][q ^ x], table[q ^ x][p ^ x] = high_byte, 1 - high_byte
-        monkeypatch.setattr(emanation, "sign_table", lambda n: table)
-        monkeypatch.setattr(emanation, "_adjacency", lambda n, s: adjacency)
+                for row, bit in ((p, q), (q, p)):
+                    plus[row] = plus[row] & ~(1 << bit) | (mark == "+") << bit
+        doctored = ZDGraph(4, 1, graph.adjacency, bytes(plus))
+        monkeypatch.setattr(emanation, "zd_graph", lambda n, s: doctored)
         assert next(emanation._kite_lows(4, 1))[:3] == faces[chosen]
 
 
@@ -593,11 +624,8 @@ class TestCensus:
         # kite exactly when every such pair completes to a kite
         per_s = census(n).per_s
         for s in range(1, 1 << (n - 1)):
-            graph = zd_graph(n, s)
-            neighbours = {v.o: 0 for v in graph.assessors}
-            for a, b in graph.signs:
-                neighbours[a] |= 1 << b
-                neighbours[b] |= 1 << a
+            adjacency = zd_graph(n, s).adjacency
+            neighbours = {o: adjacency[o] for o in assessor_lows(s, n)}
             buckets = {}
             for a, b in combinations(neighbours, 2):
                 if not (neighbours[a] >> b) & 1:
@@ -612,7 +640,7 @@ class TestCensus:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_carried_counts_equal_the_exhaustive_search(self, n):
         exhaustive = {
-            s: sum(1 for _ in emanation._kite_struts(n, s, graph_adjacency(zd_graph(n, s))))
+            s: sum(1 for _ in emanation._kite_struts(zd_graph(n, s)))
             for s in range(1, 1 << (n - 1))
         }
         assert census(n).per_s == exhaustive
@@ -666,7 +694,7 @@ class TestCensus:
     @pytest.mark.parametrize("n,s", [(5, 3), (6, 14), (7, 61)])
     def test_a_relation_wrong_in_one_edge_is_not_carried(self, n, s):
         carrier = emanation._carrier(s & 7)
-        source, target = emanation._adjacency(n, s & ~7 | 1), emanation._adjacency(n, s)
+        source, target = zd_graph(n, s & ~7 | 1).adjacency, zd_graph(n, s).adjacency
         assert emanation._carries(*carrier, source, target)
         for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
             doctored = list(target)
@@ -678,7 +706,7 @@ class TestCensus:
     def test_a_relation_wrong_in_one_edge_is_not_transposed(self, n, s):
         j = (s & -s).bit_length() - 1
         transposer = emanation._transposer(j, 1 << (n - 1))
-        source, target = emanation._adjacency(n, (s ^ s & -s) | 1), emanation._adjacency(n, s)
+        source, target = zd_graph(n, (s ^ s & -s) | 1).adjacency, zd_graph(n, s).adjacency
         assert emanation._transposes(j, *transposer, source, target)
         for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
             doctored = list(target)
@@ -751,7 +779,6 @@ def test_sweep_range_refuses_at_once(monkeypatch):
         raise AssertionError(f"graph of ({n}, {s}) built")
 
     monkeypatch.setattr(emanation, "zd_graph", no_search)
-    monkeypatch.setattr(emanation, "_adjacency", no_search)
     for s_values in ([0, 99], [1, 32], [-3]):
         with pytest.raises(ValueError, match="lie strictly between 0 and 32$"):
             sweep_range(6, s_values)

@@ -88,6 +88,10 @@ GOLDEN = {
         "json": "e222941673b3e84d82856697ddef25f408b70c5e1f2dbfb6be66713f9d401a20",
         "dot": "9ec58627875dfd80e93b071feb0540a983d9ba163833faf8ae3f5a7a312a8d2e",
     },
+    # the n = 8 graph in DOT: 126 vertices, 7,092 edges
+    RenderSpec("pathion", n=8, s=100): {
+        "dot": "7b5f25cde65de7c6fdad23d58c45b5a4fcbccb187c28f4dcddde4852e5ec8648",
+    },
     RenderSpec("census", n=5): {
         "markdown": "2beee1f326fe4a6d61cf8adbe3ee42c45337245f220c8a6265d1452215a646f8",
         "csv": "25df9d135b4d51159c4ae3d2e228869c1b2644b3f0d4e891b8b06a25984070aa",
