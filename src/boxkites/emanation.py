@@ -29,31 +29,40 @@ from .kites import (
 
 @dataclass(frozen=True)
 class ZDGraph:
-    """The zero-divisor graph of (n, s) as masks, one row per low a < 2^(n-1).
+    """The zero-divisor graph of (n, s) as two packed level ints, bit
+    a * 2^(n-1) + b for the lows a, b < 2^(n-1).
 
     A vertex is an assessor (a, a ^ X), fixed within one (n, s) by its low
-    a, never 0 or s.  Bit b of ``adjacency[a]`` is set iff lows a and b
-    carry an edge; rows 0 and s are 0.  ``plus`` packs a row of 2^(n-1)
-    bits per low, row a from byte a * 2^(n-4): at an edge a-b, bit b is set
-    iff the edge is "+", T[a][b] ^ T[A][B] = 1 for the sign table T and the
-    highs A, B.  Off the edges its bits mean nothing.
+    a, never 0 or s.  Bit (a, b) of ``adjacency`` is set iff lows a and b
+    carry an edge; rows and columns 0 and s are 0, as is the diagonal.  At
+    an edge a-b, bit (a, b) of ``plus`` is set iff the edge is "+",
+    T[a][b] ^ T[A][B] = 1 for the sign table T and the highs A, B.  Off the
+    edges its bits mean nothing.
     """
 
     n: int
     s: int
-    adjacency: list[int]
-    plus: bytes
+    adjacency: int
+    plus: int
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each edge (a, b, sign), a < b, ascending by a then b; sign 1 for "+",
         -1 for "-"."""
-        plus, shift = self.plus, self.n - 4
-        for a, row in enumerate(self.adjacency):
-            later, at = row & -(2 << a), a << shift
+        plus = _rows(self.n, self.plus)
+        for a, row in enumerate(_rows(self.n, self.adjacency)):
+            later = row & -(2 << a)
             while later:
                 b = (later & -later).bit_length() - 1
                 later &= later - 1
-                yield a, b, 1 if plus[at | b >> 3] >> (b & 7) & 1 else -1
+                yield a, b, 1 if plus[a] >> b & 1 else -1
+
+
+def _rows(n: int, packed: int) -> list[int]:
+    """The rows of a packed level int of ``ZDGraph``: item a holds its bits
+    a * 2^(n-1) + b as bits b."""
+    width = 1 << (n - 4)  # bytes in a row
+    data = packed.to_bytes(width << (n - 1), "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
 def _vertex_bits(n: int, s: int) -> int:
@@ -63,7 +72,8 @@ def _vertex_bits(n: int, s: int) -> int:
 
 def _block_swaps(width: int) -> list[tuple[int, int]]:
     """For each bit k of an index below ``width``: the shift and mask that swap,
-    in an int of ``width`` bits, bit j with bit j ^ 2^k."""
+    in an int of ``width`` bits, bit j with bit j ^ 2^k.  The mask holds the
+    bits j with bit k of j clear."""
     swaps, k = [], 1
     while k < width:
         mask, period = (1 << k) - 1, 2 * k  # k bits set, k clear, repeated
@@ -89,7 +99,7 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=1)
-def _level_bits(n: int) -> tuple[list[int], list[tuple[int, int]]]:
+def _level_bits(n: int) -> tuple[list[int], list[tuple[int, int]], int, int]:
     """Level n's sign table T packed a bit per product for ``zd_graph``, kept
     for the last level asked for, as ``sign_table`` keeps its rows.
 
@@ -97,12 +107,17 @@ def _level_bits(n: int) -> tuple[list[int], list[tuple[int, int]]]:
     columns, with bit a * 2^(n-1) + b set iff T[a][b] is 1, b counted within
     its half; ``zd_graph`` needs no high row.  With them, the block swaps
     that move bit i of such an int to bit i ^ 2^k for each k: bits within
-    every row for k < n - 1, whole rows above.
+    every row for k < n - 1, whole rows above.  Last, for the vertex pairs
+    of ``zd_graph``, bit 0 of every row, and the bits (a, b) with a and b
+    not 0 and a != b.
     """
     table, half = sign_table(n), 1 << (n - 1)
     halves = [int(b"".join(row[columns] for row in table[:half])[::-1].translate(_DIGITS), 2)
               for columns in (slice(half), slice(half, None))]
-    return halves, _block_swaps(half * half)
+    width = half // 8  # bytes in a row
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * half, "little")
+    pairs = b"".join(_vertex_bits(n, a).to_bytes(width, "little") for a in range(1, half))
+    return halves, _block_swaps(half * half), ones, int.from_bytes(bytes(width) + pairs, "little")
 
 
 def zd_graph(n: int, s: int) -> ZDGraph:
@@ -120,28 +135,25 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     edge iff R[a][b] ^ R[a ^ s][b] is 1.  On the halves of ``_level_bits``
     that is three moves, b -> b ^ s within rows and twice a -> a ^ s of
     whole rows, each a whole-level big-int pass of one block swap per set
-    bit of s, then one slice per low for the adjacency; ``plus`` stays
-    packed.  A pair-by-pair ``edge_rule`` scan of the sign table is the
-    reference.
+    bit of s; one vertex-pair mask then clears rows 0 and s, their columns
+    and the diagonal.  A pair-by-pair ``edge_rule`` scan of the sign table
+    is the reference.
     """
-    lows = assessor_lows(s, n)  # refuses (n, s) before any table is built
-    (low_low, low_high), swaps = _level_bits(n)
+    check_level(n)
+    check_strut(s, n)  # refuses (n, s) before any table is built
+    (low_low, low_high), swaps, ones, pairs = _level_bits(n)
     half = 1 << (n - 1)
-    rows, width, vertices = s << (n - 1), half // 8, _vertex_bits(n, s)  # bytes in a row
+    rows = s * half
     at_big_b = _permuted(low_high, s, swaps)  # T[a][B]
     plus = low_low ^ _permuted(at_big_b, rows, swaps)  # T[a][b] ^ T[a ^ s][B]
     r = low_low ^ at_big_b  # R[a][b]
-    edges = (r ^ _permuted(r, rows, swaps)).to_bytes(half * width, "little")
-    adjacency = [0] * half
-    for a in lows:
-        row = int.from_bytes(edges[a * width:(a + 1) * width], "little")
-        adjacency[a] = row & vertices & ~(1 << a)
-    return ZDGraph(n, s, adjacency, plus.to_bytes(half * width, "little"))
+    vertex_pairs = pairs & ~(ones << s | ((1 << half) - 1) << rows)  # not in row or column s
+    return ZDGraph(n, s, (r ^ _permuted(r, rows, swaps)) & vertex_pairs, plus)
 
 
 def _kite_struts(graph: ZDGraph):
     """Strut low triples (u1, v1, u2, v2, u3, v3) of every box-kite of the
-    graph, read from its adjacency masks alone.
+    graph, read from the rows of its adjacency alone.
 
     Non-edges are bucketed by low XOR t, in order of their first pair
     (a, b), a < b, in lexicographic order; a bucket holds the smaller lows.
@@ -158,8 +170,8 @@ def _kite_struts(graph: ZDGraph):
     graphs only the order condition ever rejects (checked for n <= 8, tested
     for n <= 7); the others keep the search exact on any graph.
     """
-    n, s, adjacency = graph.n, graph.s, graph.adjacency
-    vertices = _vertex_bits(n, s)
+    n, s = graph.n, graph.s
+    adjacency, vertices = _rows(n, graph.adjacency), _vertex_bits(n, s)
     buckets: dict[int, list[int]] = {}
     for a in assessor_lows(s, n):
         later = vertices & ~adjacency[a] & -(2 << a)  # non-neighbours above a
@@ -208,10 +220,8 @@ def _kite_lows(n: int, s: int) -> Iterator[tuple[int, ...]]:
     (A,b,C) are positive; (a,b,c) is positive by its order.
     """
     graph = zd_graph(n, s)  # refuses (n, s) before any table is built
-    table, width, w = sign_table(n), 1 << (n - 4), n - 1  # bytes in a row of plus
-    # the "+" rows as ints: each kite tests 12 of their bits
-    plus = [int.from_bytes(graph.plus[i:i + width], "little")
-            for i in range(0, len(graph.plus), width)]
+    table, w = sign_table(n), n - 1
+    plus = _rows(n, graph.plus)  # each kite tests 12 of their bits
     keyed = []  # one int per kite, ordered as its (ABC lows, strut lows)
     for struts in _kite_struts(graph):
         u1, v1, u2, v2 = struts[:4]
@@ -415,48 +425,24 @@ class CensusReport:
         return sum(self.per_s.values())
 
 
-def _linear(x: int, y: int, z: int) -> tuple[int, ...]:
-    """The images of 0..7 under the GF(2)-linear map sending 1, 2, 4 to x, y, z."""
-    return tuple((x if a & 1 else 0) ^ (y if a & 2 else 0) ^ (z if a & 4 else 0) for a in range(8))
+def _carry(s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The s = 8k + 1 that s takes its count from, and the index-bit
+    transvections (i, j), each "bit j ^= bit i", whose product sends it to s.
 
-
-def _low_map(v: int) -> tuple[int, ...]:
-    """L_v on the low three bits of an index, as the images of 0..7: L_v(1) = v,
-    and 2 and 4 go to the least values that keep it invertible."""
-    y = min(set(range(1, 8)) - {v})
-    return _linear(v, y, min(set(range(1, 8)) - {v, y, v ^ y}))
-
-
-def _carrier(v: int) -> tuple[tuple[int, ...], bytes] | None:
-    """``_low_map(v)`` and the ``bytes.translate`` table that moves bit j of a
-    byte to bit L_v(j), or None unless L_v is linear, invertible and sends 1
-    to v.  With higher bits fixed, L_v then sends r = (s & ~7) | 1 to s."""
-    images = _low_map(v)
-    if images[1] != v or len(set(images)) != 8 or images != _linear(images[1], images[2], images[4]):
-        return None
-    bits = [0]  # the bytes below 2^j, then the same with bit j set, for j = 0 to 7
-    for j in range(8):
-        bits += [byte | 1 << images[j] for byte in bits]
-    return images, bytes(bits)
-
-
-def _carries(images: tuple[int, ...], bits: bytes, source: list[int], target: list[int]) -> bool:
-    """Whether the map L with these low images carries the edge relation with
-    adjacency ``source`` onto the one with ``target``: for every low a, the
-    mask of L(a) is the image under L of the mask of a, whose bits ``bits``
-    permutes a byte at a time."""
-    width = len(source) // 8
-    return all(
-        target[a & ~7 | images[a & 7]]
-        == int.from_bytes(mask.to_bytes(width, "little").translate(bits), "little")
-        for a, mask in enumerate(source)
-    )
-
-
-def _tau(j: int, a: int) -> int:
-    """tau_j on an index: a with its bits 0 and j exchanged.  With the higher
-    bits fixed, it sends r = (s ^ 2^j) | 1 to each s = 8k whose lowest set bit is j."""
-    return a ^ (1 | 1 << j) if (a ^ a >> j) & 1 else a
+    With v = s & 7 not 0 or 1, L_v from r = (s & ~7) | 1: bit 0 into each
+    other set bit of v, then for an even v its highest set bit into bit 0,
+    so 1 goes to v and the higher bits stay.  For s = 8k with lowest set bit
+    2^j, tau_j from r = (s ^ 2^j) | 1: t(0 -> j) t(j -> 0) t(0 -> j), the
+    exchange of bits 0 and j.  An s = 8k + 1 is its own r, with no move.
+    """
+    v = s & 7
+    if v == 1:
+        return s, ()
+    if v:
+        moves = tuple((0, k) for k in (1, 2) if v >> k & 1)
+        return s & ~7 | 1, moves if v & 1 else moves + ((v.bit_length() - 1, 0),)
+    j = (s & -s).bit_length() - 1
+    return (s ^ s & -s) | 1, ((0, j), (j, 0), (0, j))
 
 
 def _swap(x: int, shift: int, mask: int) -> int:
@@ -465,67 +451,61 @@ def _swap(x: int, shift: int, mask: int) -> int:
     return x ^ t ^ t << shift
 
 
-def _transposer(j: int, half: int) -> tuple[int, int] | None:
-    """tau_j on the bits of an int below 2^half, as the shift and mask of one
-    ``_swap``: each bit a with bit 0 of a set and bit j clear trades places
-    with bit a + 2^j - 1.  None unless that moves every bit a to ``_tau(j, a)``."""
-    shift, mask = (1 << j) - 1, sum(1 << a for a in range(half) if a & 1 and not a >> j & 1)
-    if all(_swap(1 << a, shift, mask) == 1 << _tau(j, a) for a in range(half)):
-        return shift, mask
-    return None
+def _moved(n: int, moves: tuple[tuple[int, int], ...], x: int) -> int:
+    """The packed level int ``x`` with the low of each row and of each column
+    sent through the transvections ``moves``, in order.  Each (i, j) is one
+    ``_swap`` per side: the bits whose low has bit i set and bit j clear
+    trade places with those 2^j above them, a mask formed from two of
+    ``_level_bits``'s block swaps."""
+    swaps = _level_bits(n)[1]
+    for i, j in moves:
+        for side in (0, n - 1):  # the column's index bits, then the row's
+            (shift_i, clear_i), (shift_j, clear_j) = swaps[i + side], swaps[j + side]
+            x = _swap(x, shift_j, clear_i << shift_i & clear_j)
+    return x
 
 
-def _transposes(j: int, shift: int, mask: int, source: list[int], target: list[int]) -> bool:
-    """Whether tau_j carries the edge relation with adjacency ``source`` onto
-    the one with ``target``: for every low a, the mask of tau_j(a) is the mask
-    of a with its bits moved by ``_swap``."""
-    return all(target[_tau(j, a)] == _swap(m, shift, mask) for a, m in enumerate(source))
+def _maps_onto(n: int, moves: tuple[tuple[int, int], ...], r: int, s: int,
+               source: int, target: int) -> bool:
+    """Whether ``moves`` (see ``_moved``) send the low r to s and the packed
+    relation ``source`` of r onto ``target``, that of s: the one check of a
+    carried count, two compares of whole ints."""
+    return _moved(n, moves, 1 << r) == 1 << s and _moved(n, moves, source) == target
 
 
 def census(n: int) -> CensusReport:
     """Box-kite count per strut constant, by enumeration plus checked transport.
 
     Only each s = 8k + 1 is searched; the search's strut triples are counted
-    and no kite is labelled or built.  Any other s with low three bits
-    v != 0 takes the count of r = (s & ~7) | 1 once ``_carries`` finds that
-    L_v, fixing the higher bits, maps the edge relation of r onto that of s
-    on every low; s = 8k with lowest set bit j takes the count of
-    r = (s ^ 2^j) | 1 once ``_transposes`` finds the same of tau_j, which
-    exchanges index bits 0 and j.  A kite is three non-edge struts of one
-    low XOR, cross-adjacent, the lows of two XOR-closing onto the third; a
-    linear bijection keeping the relation keeps all of that, so it maps the
-    kites of r one to one onto those of s.  An s whose check fails is
-    searched instead.  Every check has passed on every level run (n = 4 to
-    10).  For L_v it should: an octonion automorphism permutes the units up
-    to sign by a linear map of the low three bits, extends through each
-    doubling as (p, q) -> (phi p, phi q), and keeps the relation, as the unit
-    signs it brings in are the same on both sides of the test.  The count
-    relies on the check alone.  The masks of a searched r are held until
-    the last s that reads them is checked: at most n // 2 - 1 lists of them
-    at once (two at n = 7, four at n = 10).
+    and no kite is labelled or built.  Every other s takes the count of the
+    r that ``_carry`` names once ``_maps_onto`` finds that its transvections
+    send r to s and the packed adjacency of r onto that of s: L_v, a linear
+    bijection of the low three bits sending 1 to v = s & 7, or, for s = 8k,
+    tau_j, the exchange of index bits 0 and j.  A kite is three non-edge
+    struts of one low XOR, cross-adjacent, the lows of two XOR-closing onto
+    the third; a linear bijection keeping the relation keeps all of that, so
+    it maps the kites of r one to one onto those of s.  An s whose check
+    fails is searched instead.  Every check has passed on every level run
+    (n = 4 to 10).  For L_v it should: an octonion automorphism permutes
+    the units up to sign by a linear map of the low three bits, extends
+    through each doubling as (p, q) -> (phi p, phi q), and keeps the
+    relation, as the unit signs it brings in are the same on both sides of
+    the test.  The count relies on the check alone.  The adjacency of a
+    searched r is held until the last s that reads it is checked: at most
+    n // 2 - 1 packed ints at once.
     """
     s_values = sweep_range(n)
-    half = 1 << (n - 1)
-    carriers = {v: _carrier(v) for v in range(2, 8)}
-    transposers = {j: _transposer(j, half) for j in range(3, n - 1)}
-    sources = {s: s & ~7 | 1 if s & 7 else (s ^ s & -s) | 1 for s in s_values}
-    last_reader = {r: s for s, r in sources.items()}
-    per_s, held = {}, {}
+    carries = {s: _carry(s) for s in s_values}
+    last_reader = {r: s for s, (r, _) in carries.items()}
+    per_s, sources, held = {}, {}, {}
     for s in s_values:
-        graph, r = zd_graph(n, s), sources[s]
-        adjacency = graph.adjacency
+        graph, (r, moves) = zd_graph(n, s), carries[s]
         if r != s:
             source = held.pop(r) if last_reader[r] == s else held[r]
-            if s & 7:
-                carried = carriers[s & 7] and _carries(*carriers[s & 7], source, adjacency)
-            else:
-                j = (s & -s).bit_length() - 1
-                carried = transposers[j] and _transposes(j, *transposers[j], source, adjacency)
-            if carried:
-                per_s[s] = per_s[r]
+            if _maps_onto(n, moves, r, s, source, graph.adjacency):
+                per_s[s], sources[s] = per_s[r], r
                 continue
-            sources[s] = s
         elif last_reader[s] != s:
-            held[s] = adjacency
-        per_s[s] = sum(1 for _ in _kite_struts(graph))
+            held[s] = graph.adjacency
+        per_s[s], sources[s] = sum(1 for _ in _kite_struts(graph)), s
     return CensusReport(n, per_s, sources)

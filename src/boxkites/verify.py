@@ -256,15 +256,14 @@ def _section_edge_signs(run: _Run) -> Iterator[CheckResult]:
     # The closed-form edge signs are checked against the four hc_mul
     # products, with the dichotomy asserted, by the test suite's oracle;
     # here the graphs' edges and struts, non-edges between vertices, are
-    # counted for all 7 s from the popcounts of their adjacency masks.
+    # counted for all 7 s from the popcount of their packed adjacency.
     for s in sweep_range(4):
-        adjacency = zd_graph(4, s).adjacency
-        degrees = [adjacency[o].bit_count() for o in assessor_lows(s, 4)]
+        edges, vertices = zd_graph(4, s).adjacency.bit_count() // 2, len(assessor_lows(s, 4))
         yield _check(
             f"edge-signs/graph-{s}",
             f"strut constant {s}: 12 zero-divisor edges, 3 clean struts",
             (12, 3),
-            (sum(degrees) // 2, sum(len(degrees) - 1 - d for d in degrees) // 2),
+            (edges, vertices * (vertices - 1) // 2 - edges),
         )
 
 
@@ -548,7 +547,10 @@ SECTIONS = tuple(SECTION_RUNNERS)
 
 def run_verification(sections=None) -> VerificationReport:
     """Run the named sections (default: all), each once in the order first given, plus
-    fixture coverage on a full run; an empty list or an unknown name is refused."""
+    fixture coverage on a full run; an empty list, an unknown name or a bare
+    string in place of a list of names is refused."""
+    if isinstance(sections, str):
+        raise ValueError(f"name the verification sections as a list, not the string {sections!r}")
     selected = SECTIONS if sections is None else tuple(dict.fromkeys(sections))
     unknown = [s for s in selected if s not in SECTION_RUNNERS]
     if unknown:

@@ -597,6 +597,12 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="name at least one verification section"):
             run_verification([])
 
+    @pytest.mark.parametrize("sections", ["trips", "census,trips", ""])
+    def test_library_refuses_a_bare_string(self, sections):
+        # a string iterates as its letters, each an unknown section name
+        with pytest.raises(ValueError, match="as a list, not the string"):
+            run_verification(sections)
+
     def test_library_runs_repeated_section_once(self):
         report = run_verification(["trips", "trips"])
         assert report.sections == ("trips",)

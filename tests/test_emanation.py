@@ -58,15 +58,25 @@ def reference_graph(n, s):
     return signs
 
 
+def at(n, a, b):
+    """The bit of the pair (a, b) in a packed level int of level n."""
+    return a << (n - 1) | b
+
+
+def graph_rows(n, packed):
+    """The rows of a packed level int, one shift each."""
+    half = 1 << (n - 1)
+    return [packed >> a * half & (1 << half) - 1 for a in range(half)]
+
+
 def graph_from_signs(n, s, signs):
     """The ``ZDGraph`` whose edges and signs are those of a pair dict."""
-    half = 1 << (n - 1)
-    adjacency, plus = [0] * half, bytearray(half * half // 8)
+    adjacency = plus = 0
     for (a, b), sign in signs.items():
         for p, q in ((a, b), (b, a)):
-            adjacency[p] |= 1 << q
-            plus[(p * half + q) // 8] |= (sign > 0) << q % 8
-    return ZDGraph(n, s, adjacency, bytes(plus))
+            adjacency |= 1 << at(n, p, q)
+            plus |= (sign > 0) << at(n, p, q)
+    return ZDGraph(n, s, adjacency, plus)
 
 
 def reference_search(n, s):
@@ -212,7 +222,7 @@ class TestAssessorEnumeration:
 def non_adjacent_pairs(graph):
     """Low pairs (a, b), a < b, of the graph's vertices that carry no edge."""
     lows = assessor_lows(graph.s, graph.n)
-    return [(a, b) for a, b in combinations(lows, 2) if not graph.adjacency[a] >> b & 1]
+    return [(a, b) for a, b in combinations(lows, 2) if not graph.adjacency >> at(graph.n, a, b) & 1]
 
 
 def assert_graph_is(graph, signs):
@@ -220,22 +230,20 @@ def assert_graph_is(graph, signs):
     edge's sign in the "+" rows of both its ends."""
     assert list(graph.edges()) == [(a, b, sign) for (a, b), sign in signs.items()], graph.s
     assert graph.adjacency == graph_from_signs(graph.n, graph.s, signs).adjacency, graph.s
-    width = len(graph.plus) >> (graph.n - 1)
     for (a, b), sign in signs.items():
-        row = int.from_bytes(graph.plus[b * width:(b + 1) * width], "little")
-        assert row >> a & 1 == (sign > 0), (graph.s, a, b)
+        assert graph.plus >> at(graph.n, b, a) & 1 == (sign > 0), (graph.s, a, b)
 
 
 class TestZDGraph:
     def test_sedenion_graph_is_octahedron(self):
         graph = zd_graph(4, 1)
-        assert sum(1 for row in graph.adjacency if row) == 6
+        assert sum(1 for row in graph_rows(4, graph.adjacency) if row) == 6
         assert len(list(graph.edges())) == 12
         assert len(non_adjacent_pairs(graph)) == 3
 
     def test_pathion_s1_graph(self):
         graph = zd_graph(5, 1)
-        assert sum(1 for row in graph.adjacency if row) == 14
+        assert sum(1 for row in graph_rows(5, graph.adjacency) if row) == 14
         # complete minus the strut matching: every non-strut pair divides zero
         assert len(non_adjacent_pairs(graph)) == 7
         assert len(list(graph.edges())) == 14 * 13 // 2 - 7
@@ -246,7 +254,7 @@ class TestZDGraph:
         for a, b, sign in graph.edges():
             assert sign in (-1, 1)
             assert a < b and a in lows and b in lows
-            assert graph.adjacency[b] >> a & 1  # each edge in both rows
+            assert graph.adjacency >> at(4, b, a) & 1  # each edge in both rows
         # the pairs left out are the struts, whose lows XOR to s
         assert all(a ^ b == graph.s for a, b in non_adjacent_pairs(graph))
 
@@ -369,7 +377,7 @@ class TestFindBoxKites:
                 assert len(kite.edge_signs) == 12
                 for v1, v2 in kite.struts:
                     assert edge_sign(v1, v2) is None
-                    assert not adjacency[v1.o] >> v2.o & 1
+                    assert not adjacency >> at(5, v1.o, v2.o) & 1
                 for sail in kite.sails:
                     lows = [v.o for v in sail.vertices]
                     assert lows[0] ^ lows[1] ^ lows[2] == 0
@@ -554,13 +562,13 @@ class TestZigzagRule:
         # The edges and the sign table, read for the ASO order, stay as they are.
         graph = zd_graph(4, 1)
         faces = sorted(aso_form(v.o for v in sail.vertices) for sail in find_box_kites(4, 1)[0].sails)
-        plus = bytearray(graph.plus)  # a row of one byte per low at n = 4
+        plus = graph.plus
         for lows, pattern in zip(faces, patterns):
             u, v, w = lows
             for (p, q), mark in zip(((u, v), (v, w), (w, u)), pattern):
-                for row, bit in ((p, q), (q, p)):
-                    plus[row] = plus[row] & ~(1 << bit) | (mark == "+") << bit
-        doctored = ZDGraph(4, 1, graph.adjacency, bytes(plus))
+                for bit in (at(4, p, q), at(4, q, p)):
+                    plus = plus & ~(1 << bit) | (mark == "+") << bit
+        doctored = ZDGraph(4, 1, graph.adjacency, plus)
         monkeypatch.setattr(emanation, "zd_graph", lambda n, s: doctored)
         assert next(emanation._kite_lows(4, 1))[:3] == faces[chosen]
 
@@ -624,7 +632,7 @@ class TestCensus:
         # kite exactly when every such pair completes to a kite
         per_s = census(n).per_s
         for s in range(1, 1 << (n - 1)):
-            adjacency = zd_graph(n, s).adjacency
+            adjacency = graph_rows(n, zd_graph(n, s).adjacency)
             neighbours = {o: adjacency[o] for o in assessor_lows(s, n)}
             buckets = {}
             for a, b in combinations(neighbours, 2):
@@ -656,18 +664,54 @@ class TestCensus:
         # every map passed its check: one search per s = 8k + 1
         assert [s for s, r in sources.items() if r == s] == [s for s in sources if s & 7 == 1]
 
+    def test_n7_counts_by_class(self):
+        # one count per s = 8k + 1 and the s carried from it
+        classes = {
+            1: (155, [*range(1, 9), 16, 32]),
+            9: (91, range(9, 16)),
+            17: (43, range(17, 25)),
+            25: (619, range(25, 32)),
+            33: (15, [*range(33, 41), 48]),
+            41: (847, range(41, 48)),
+            49: (575, range(49, 57)),
+            57: (255, range(57, 64)),
+        }
+        report = census(7)
+        assert report.per_s == {s: count for count, members in classes.values() for s in members}
+        assert report.sources == {s: r for r, (_, members) in classes.items() for s in members}
+        assert report.total == 19313
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_moves_act_as_the_index_map(self, n):
+        # each transvection (i, j) sets bit j of an index to bit j ^ bit i; the
+        # moves send the bit of every pair (a, b) to that of (M a, M b)
+        def index_map(moves, a):
+            for i, j in moves:
+                a ^= (a >> i & 1) << j
+            return a
+
+        lows = range(1 << (n - 1))
+        for s in lows[2:]:
+            r, moves = emanation._carry(s)
+            assert index_map(moves, r) == s, s
+            for a in lows:
+                for b in lows:
+                    image = at(n, index_map(moves, a), index_map(moves, b))
+                    assert emanation._moved(n, moves, 1 << at(n, a, b)) == 1 << image, (s, a, b)
+
+    @staticmethod
+    def missing(s, carry):
+        """``_carry(s)`` with one more transvection, out of the lowest set bit
+        of s, so that the map sends r to an index other than s."""
+        r, moves = carry(s)
+        i = (s & -s).bit_length() - 1
+        return r, moves + ((i, (i + 1) % 3 if i < 3 else 0),)
+
     @pytest.mark.parametrize("v", range(2, 8))
     def test_a_map_wrong_in_one_image_is_refused(self, v, monkeypatch):
         expected = census(6).per_s
-        low_map = emanation._low_map
-
-        def wrong(w):
-            images = list(low_map(w))
-            if w == v:
-                images[6] ^= 1  # no longer linear
-            return tuple(images)
-
-        monkeypatch.setattr(emanation, "_low_map", wrong)
+        carry = emanation._carry
+        monkeypatch.setattr(emanation, "_carry", lambda s: self.missing(s, carry) if s & 7 == v else carry(s))
         report = census(6)
         assert report.per_s == expected
         assert [s for s, r in report.sources.items() if r == s] == [
@@ -677,13 +721,8 @@ class TestCensus:
     @pytest.mark.parametrize("j", [3, 4, 5])
     def test_a_transposition_wrong_in_one_image_is_refused(self, j, monkeypatch):
         expected = census(7).per_s
-        tau = emanation._tau
-
-        def wrong(i, a):
-            return tau(i, a) ^ (i == j and a == 6)  # 6 now goes to 7
-
-        monkeypatch.setattr(emanation, "_tau", wrong)
-        assert emanation._transposer(j, 64) is None
+        carry = emanation._carry
+        monkeypatch.setattr(emanation, "_carry", lambda s: self.missing(s, carry) if s & -s == 1 << j else carry(s))
         report = census(7)
         assert report.per_s == expected
         # the s whose lowest set bit is j are searched, every other map is used
@@ -691,28 +730,32 @@ class TestCensus:
             s for s in range(1, 64) if s & 7 == 1 or s & -s == 1 << j
         ]
 
+    @staticmethod
+    def doctored_relations(n, s, target):
+        """``target`` wrong in one edge (both bits), in one bit alone, or with
+        a bit set in row 0 or in row s."""
+        for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
+            yield (a, b), target ^ 1 << at(n, a, b) ^ 1 << at(n, b, a)
+            yield (a, b, "one bit"), target ^ 1 << at(n, a, b)
+        for row in (0, s):
+            yield (row, "row"), target | 1 << at(n, row, 3 if s != 3 else 5)
+
+    def assert_checked(self, n, s):
+        r, moves = emanation._carry(s)
+        source, target = zd_graph(n, r).adjacency, zd_graph(n, s).adjacency
+        assert emanation._maps_onto(n, moves, r, s, source, target)
+        # the same relations, for a low the moves do not send to s
+        assert not emanation._maps_onto(n, moves, r ^ 2, s, source, target)
+        for doctoring, doctored in self.doctored_relations(n, s, target):
+            assert not emanation._maps_onto(n, moves, r, s, source, doctored), doctoring
+
     @pytest.mark.parametrize("n,s", [(5, 3), (6, 14), (7, 61)])
     def test_a_relation_wrong_in_one_edge_is_not_carried(self, n, s):
-        carrier = emanation._carrier(s & 7)
-        source, target = zd_graph(n, s & ~7 | 1).adjacency, zd_graph(n, s).adjacency
-        assert emanation._carries(*carrier, source, target)
-        for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
-            doctored = list(target)
-            doctored[a] ^= 1 << b
-            doctored[b] ^= 1 << a
-            assert not emanation._carries(*carrier, source, doctored), (a, b)
+        self.assert_checked(n, s)
 
     @pytest.mark.parametrize("n,s", [(5, 8), (6, 24), (7, 48)])
     def test_a_relation_wrong_in_one_edge_is_not_transposed(self, n, s):
-        j = (s & -s).bit_length() - 1
-        transposer = emanation._transposer(j, 1 << (n - 1))
-        source, target = zd_graph(n, (s ^ s & -s) | 1).adjacency, zd_graph(n, s).adjacency
-        assert emanation._transposes(j, *transposer, source, target)
-        for a, b in [(2, 4), (s ^ 1, s ^ 2), (5, 6)]:
-            doctored = list(target)
-            doctored[a] ^= 1 << b
-            doctored[b] ^= 1 << a
-            assert not emanation._transposes(j, *transposer, source, doctored), (a, b)
+        self.assert_checked(n, s)
 
     def test_census_builds_no_kite(self, monkeypatch):
         def refuse(*args):
