@@ -47,6 +47,8 @@ def blade_sign(a: int, b: int) -> int:
     in the second, and conjugation contributes a minus sign exactly when the
     half-size factor is non-real.
     """
+    if not (isinstance(a, int) and isinstance(b, int)):  # checked on a miss only
+        raise TypeError(f"basis indices must be int, got ({a!r}, {b!r})")
     if a < 0 or b < 0:
         raise ValueError(f"basis indices must be nonnegative, got ({a}, {b})")
     if a == 0 or b == 0:
@@ -63,12 +65,10 @@ def blade_sign(a: int, b: int) -> int:
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
-# The level and rows of ``sign_table``'s last build; its one-entry cache holds
-# the same rows unless cleared.
+# The level and rows of ``sign_table``'s last build, the only table kept.
 _held: list = [None, None]
 
 
-@lru_cache(maxsize=1)
 def sign_table(n: int) -> SignTable:
     """The signs of level n as rows: byte b of row a is 1 iff e_a * e_b < 0.
 
@@ -83,6 +83,8 @@ def sign_table(n: int) -> SignTable:
     of T, with those two bytes fixed.  The rows of level k are prefixes of
     those of level k + 1.  ``blade_sign`` is the reference.
     """
+    if _held[0] == n:
+        return _held[1]
     rows = [b"\x00"]  # e_0 * e_0 = +e_0
     for _ in range(n):
         columns = [bytes(column) for column in zip(*rows)]
@@ -96,7 +98,7 @@ def sign_table(n: int) -> SignTable:
 
 
 def held_sign_table(n: int) -> SignTable | None:
-    """Level n's sign table when ``sign_table`` built it last, else None.
+    """Level n's sign table when ``sign_table`` holds it, else None.
 
     It never builds a table, so code that works on one object reads the
     level's rows when whole-level work has already paid for them, and asks
@@ -116,6 +118,8 @@ class BasisBlade:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if not isinstance(self.index, int):
+            raise TypeError(f"index must be int, got {self.index!r}")
         if self.index < 0:
             raise ValueError(f"index must be nonnegative, got {self.index}")
 
@@ -145,8 +149,8 @@ class Hypercomplex:
     """Element of a 2^n-ion algebra with exact coefficients, one per index.
 
     Kept canonical: zero coefficients are dropped at construction, so
-    equality is plain field equality.  A coefficient that is not an int or a
-    Fraction is refused with TypeError.
+    equality is plain field equality.  An index that is not an int, or a
+    coefficient that is not an int or a Fraction, is refused with TypeError.
     """
 
     dim_exponent: int
@@ -156,6 +160,8 @@ class Hypercomplex:
         top = 1 << self.dim_exponent
         cleaned = {}
         for index, coeff in self.coeffs.items():
+            if not isinstance(index, int):
+                raise TypeError(f"index {index!r} is {type(index).__name__}, not int")
             if not (0 <= index < top):
                 raise ValueError(
                     f"index {index} out of range for dimension 2^{self.dim_exponent}"
@@ -253,11 +259,6 @@ def aso_form(indices) -> TripIndices:
     if len({a, b, c}) != 3 or a == 0 or a ^ b != c:
         raise ValueError(f"{tuple(indices)} is not a unit triple")
     return (a, b, c) if blade_sign(a, b) > 0 else (a, c, b)
-
-
-def rotations(trip) -> tuple[TripIndices, TripIndices, TripIndices]:
-    a, b, c = trip
-    return ((a, b, c), (b, c, a), (c, a, b))
 
 
 def enumerate_trips(n: int, kind: str = "all") -> list[TripIndices]:

@@ -24,6 +24,7 @@ from .kites import (
     assessors_for_strut,
     check_level,
     check_strut,
+    check_table_level,
 )
 
 
@@ -141,6 +142,7 @@ def zd_graph(n: int, s: int) -> ZDGraph:
     """
     check_level(n)
     check_strut(s, n)  # refuses (n, s) before any table is built
+    check_table_level(n)
     (low_low, low_high), swaps, ones, pairs = _level_bits(n)
     half = 1 << (n - 1)
     rows = s * half
@@ -326,9 +328,13 @@ class SweepReport:
 
 def sweep_range(n: int, s_values=None) -> tuple[int, ...]:
     """The strut constants a sweep visits: ``s_values`` sorted once each, or
-    every s of level n; refused at once when one lies outside level n."""
+    every s of level n, a level ``check_table_level`` passes; refused at once
+    when one lies outside level n."""
     check_level(n)
-    s_values = tuple(sorted(set(range(1, 1 << (n - 1)) if s_values is None else s_values)))
+    if s_values is None:
+        check_table_level(n)
+        s_values = range(1, 1 << (n - 1))
+    s_values = tuple(sorted(set(s_values)))
     for s in s_values:
         check_strut(s, n)
     return s_values

@@ -156,6 +156,17 @@ def check_strut(s: int, n: int) -> None:
         raise ValueError(f"strut constants at dimension {2 * half} lie strictly between 0 and {half}")
 
 
+MAX_TABLE_LEVEL = 12  # its sign table holds 4^12 bytes, 16 MB; each level up quadruples it
+
+
+def check_table_level(n: int) -> None:
+    """Refuse whole-level work (a sign table, a graph, every s) above
+    ``MAX_TABLE_LEVEL``, at a level ``check_level`` passes."""
+    if n > MAX_TABLE_LEVEL:
+        raise ValueError(f"whole levels are built only up to n = {MAX_TABLE_LEVEL} "
+                         f"(dimension {1 << MAX_TABLE_LEVEL}); got n = {n}")
+
+
 def assessor_lows(s: int, n: int = 4) -> list[int]:
     """The lows of the assessors of (n, s), ascending: every 0 < o < 2^(n-1) but s."""
     check_level(n)

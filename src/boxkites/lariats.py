@@ -123,21 +123,26 @@ class _Lines:
             self.cells[k, c, d] = cell
         return cell
 
+    def times(self, line: tuple[int, int, int],
+              columns: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
+        """The integer line (k, c, d) times each column line (m, m ^ X, e, f),
+        uncollapsed: four ``blade_sign`` calls each, the one line-product rule."""
+        k, c, d = line
+        big_k = k ^ self.x
+        return [(k ^ m,
+                 c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
+                 c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m))
+                for m, big_m, e, f in columns]
+
     def product(self, *symbols: str) -> LariatResult:
-        """Left-to-right product of yard lines, collapsed."""
+        """Left-to-right product of yard lines, collapsed once at the end."""
         try:
-            lines = [self.lines[sym] for sym in symbols]
+            line, *rest = [self.lines[sym] for sym in symbols]
         except KeyError as err:
             raise ValueError(f"unknown yard symbol {err.args[0]!r}") from None
-        k, c, d = lines[0]
-        for m, e, f in lines[1:]:
-            big_k, big_m = k ^ self.x, m ^ self.x
-            k, c, d = (
-                k ^ m,
-                c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
-                c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m),
-            )
-        return self.cell(k, c, d)
+        for m, e, f in rest:
+            (line,) = self.times(line, [(m, m ^ self.x, e, f)])
+        return self.cell(*line)
 
 
 def collapse(bk: BoxKite, product: Hypercomplex) -> LariatResult:
@@ -194,27 +199,15 @@ class LariatTable:
 
 
 def _cells(lines: _Lines, symbols: tuple[str, ...]) -> tuple[tuple[LariatResult, ...], ...]:
-    """Every row-times-column product over ``symbols``, the cells of a line table.
-
-    A row fixes its line's (k, k ^ X); each column's product line is then
-    four ``blade_sign`` calls, as in ``_Lines.product``, read from the memo
-    of collapsed lines or, the first time it is met, collapsed by ``cell``.
-    """
+    """Every row-times-column product over ``symbols``, the cells of a line table:
+    a row's lines from ``_Lines.times``, each read from the memo of collapsed
+    lines or, the first time it is met, collapsed by ``cell``."""
     x, cell, memo = lines.x, lines.cell, lines.cells
     columns = [(m, m ^ x, e, f) for m, e, f in map(lines.lines.__getitem__, symbols)]
-    rows = []
-    for p in symbols:
-        k, c, d = lines.lines[p]
-        big_k = k ^ x
-        rows.append(tuple([
-            memo.get(line := (
-                k ^ m,
-                c * e * blade_sign(k, m) + d * f * blade_sign(big_k, big_m),
-                c * f * blade_sign(k, big_m) + d * e * blade_sign(big_k, m),
-            )) or cell(*line)
-            for m, big_m, e, f in columns
-        ]))
-    return tuple(rows)
+    return tuple(
+        tuple([memo.get(line) or cell(*line) for line in lines.times(lines.lines[p], columns)])
+        for p in symbols
+    )
 
 
 def switching_yard(bk: BoxKite) -> LariatTable:

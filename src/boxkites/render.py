@@ -3,7 +3,7 @@
 Most targets build a plain-data payload (dicts, lists, strings) and render
 it by a pure function of that payload; the pathion kites and the tripsync
 sweep are written kite by kite as they are found, in the layout their
-payloads would have.  Identical
+payloads would have, and a DOT graph edge by edge.  Identical
 invocations are byte-identical.  JSON table cells use the grammar "0",
 "+R", "-R", "+8", "-8", "+X", "-X", "+S", "-S", and signed vertex letters.
 
@@ -115,10 +115,10 @@ class RenderSpec:
         half = 1 << (n - 1)
         searched = 1 if "s" in reads else len(s_values) or half - 1  # none named: every s
         if "n" in reads and searched * comb(half - 2, 2) > MAX_PAIRS:
+            # names n, not the counts: those can pass Python's 4,300-digit limit on int text
             raise ValueError(
-                f"target {self.target!r} would search {searched} strut constant(s) x "
-                f"{comb(half - 2, 2):,} assessor pairs at dimension {2 * half}; the largest "
-                f"dimension searched whole is {1 << MAX_WHOLE_LEVEL_N}, {MAX_PAIRS:,} pairs in all"
+                f"target {self.target!r} would search more than {MAX_PAIRS:,} assessor pairs "
+                f"at dimension 2^{n}; the largest dimension searched whole is {1 << MAX_WHOLE_LEVEL_N}"
             )
         for field in fields(self):
             name = field.name
@@ -262,14 +262,13 @@ def census_payload(report: CensusReport) -> dict:
     return payload
 
 
-def dot_zd_graph(n: int, s: int) -> str:
-    """DOT text for the zero-divisor graph; vertices named o_hi."""
+def dot_zd_graph(n: int, s: int) -> Iterator[str]:
+    """DOT text for the zero-divisor graph, built first, a line at a time; vertices named o_hi."""
     graph, x = zd_graph(n, s), _strut_x(n, s)
     vertex = {o: f'"{o}_{o ^ x}"' for o in assessor_lows(s, n)}
-    lines = [f'graph zd_{n}_{s} {{', *(f"  {name};" for name in vertex.values())]
-    for a, b, sign in graph.edges():
-        lines.append(f'  {vertex[a]} -- {vertex[b]} [sign="{"+" if sign > 0 else "-"}"];')
-    return "\n".join(lines) + "\n}\n"
+    edges = (f'  {vertex[a]} -- {vertex[b]} [sign="{"+" if sign > 0 else "-"}"];\n'
+             for a, b, sign in graph.edges())
+    return chain([f"graph zd_{n}_{s} {{\n"], (f"  {v};\n" for v in vertex.values()), edges, ["}\n"])
 
 
 def _kite(spec: RenderSpec) -> BoxKite:
@@ -477,10 +476,11 @@ def emit_chunks(spec: RenderSpec) -> Iterable[str]:
     A refusal (ValueError) comes before any text: ``RenderSpec`` checks the
     request, and the targets built whole are built before this returns.  The
     pathion search and the tripsync sweep run as their chunks are read, and
-    keep no kite they have written.
+    keep no kite they have written; a DOT graph is built first and written a
+    line at a time.
     """
     if spec.format == "dot":
-        return [dot_zd_graph(spec.n, spec.s)]
+        return dot_zd_graph(spec.n, spec.s)
     return REGISTRY[spec.target].text(spec)
 
 

@@ -121,21 +121,13 @@ def _check(
 
 class _Run:
     """What the sections of one run share, each part built when a section
-    first reads it: the seven sedenion box-kites, their 21 mock-octonion
+    first reads it: the seven sedenion box-kites by s, their 21 mock-octonion
     tables and the scale law's symbol representatives.  A section run alone
-    builds only what it reads, and nothing outlives the run."""
+    builds only the parts it reads, and nothing outlives the run."""
 
-    def __init__(self) -> None:
-        self._kites: dict[int, BoxKite] = {}
-
-    def kite(self, s: int) -> BoxKite:
-        if s not in self._kites:
-            self._kites[s] = build_box_kite(s)
-        return self._kites[s]
-
-    @property
+    @cached_property
     def kites(self) -> dict[int, BoxKite]:
-        return {s: self.kite(s) for s in sweep_range(4)}
+        return {s: build_box_kite(s) for s in sweep_range(4)}
 
     @cached_property
     def mock_tables(self) -> dict[tuple[int, str], LariatTable]:
@@ -200,14 +192,10 @@ def _section_fabric(run: _Run) -> Iterator[CheckResult]:
         "fabric/diagonal-count", "84 zero-divisor diagonals",
         84, len(diagonals),
     )
-    bk = run.kite(1)
+    bk = run.kites[1]
     cycle = sail_six_cycle(bk.sail("ABC"), bk.vertex("A").slash)
     computed = tuple(
-        (
-            (d1.assessor.o, d1.assessor.hi, d1.orientation),
-            (d2.assessor.o, d2.assessor.hi, d2.orientation),
-        )
-        for d1, d2 in cycle
+        tuple((d.assessor.o, d.assessor.hi, d.orientation) for d in step) for step in cycle
     )
     yield _check(
         "fabric/six-cycle",
@@ -228,7 +216,7 @@ def _section_fabric(run: _Run) -> Iterator[CheckResult]:
 
 def _section_strut_table(run: _Run) -> Iterator[CheckResult]:
     for s, row in fixtures.STRUT_TABLE.items():
-        bk = run.kite(s)
+        bk = run.kites[s]
         computed = {p: bk.vertex(p).indices for p in LETTERS}
         yield _check(
             f"strut-table/row-{s}-vertices",
@@ -424,7 +412,7 @@ def _section_yard(run: _Run) -> Iterator[CheckResult]:
 
 def _section_sync_table(run: _Run) -> Iterator[CheckResult]:
     for s, row in fixtures.SYNC_TABLE.items():
-        report = trip_sync_report(run.kite(s))
+        report = trip_sync_report(run.kites[s])
         computed = {sail.name: sail.trips for sail in report.sails}
         yield _check(
             f"sync-table/row-{s}-trips",

@@ -15,7 +15,7 @@ from boxkites.algebra import (
     blade_sign,
     enumerate_trips,
     hc_mul,
-    rotations,
+    held_sign_table,
     sign_table,
     trip_orientation,
 )
@@ -28,9 +28,9 @@ def orientation_oracle(a, b, c):
     A tabled triple is positive in any rotation and negative in any
     rotation of a transposition.
     """
-    for t in O_TRIPS + S_TRIPS:
-        if frozenset(t) == frozenset((a, b, c)):
-            return 1 if (a, b, c) in rotations(t) else -1
+    for x, y, z in O_TRIPS + S_TRIPS:
+        if frozenset((x, y, z)) == frozenset((a, b, c)):
+            return 1 if (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)) else -1
     raise KeyError((a, b, c))
 
 
@@ -148,10 +148,13 @@ class TestSignTable:
         assert all(len(row) == 1 << k and high[a].startswith(row) for a, row in enumerate(low))
 
     def test_one_level_held(self):
-        sign_table(5)
-        sign_table(6)
-        info = sign_table.cache_info()
-        assert (info.maxsize, info.currsize) == (1, 1)
+        five = sign_table(5)
+        assert sign_table(5) is five and held_sign_table(5) is five
+        six = sign_table(6)
+        assert sign_table(6) is six and held_sign_table(6) is six
+        assert held_sign_table(5) is None  # level 6 took level 5's place
+        again = sign_table(5)
+        assert again == five and again is not five and held_sign_table(6) is None
 
     def test_blade_sign_cache_is_bounded_and_verify_fits(self):
         from boxkites.verify import run_verification
@@ -191,6 +194,14 @@ class TestHypercomplex:
             Hypercomplex.unit(4, 5, 1j)
         x = Hypercomplex(4, {0: Fraction(1, 2), 3: 2})
         assert hc_mul(x, x) == Hypercomplex(4, {0: Fraction(-15, 4), 3: 2})
+
+    @pytest.mark.parametrize("make", [
+        lambda: blade_sign(1.5, 2), lambda: blade_sign(2, 1.5), lambda: BasisBlade(1, 1.5),
+        lambda: Hypercomplex(4, {1.5: 1}), lambda: Hypercomplex.unit(4, 2.0),
+    ], ids=["blade_sign-left", "blade_sign-right", "BasisBlade", "Hypercomplex", "unit"])
+    def test_non_integer_indices_refused(self, make):
+        with pytest.raises(TypeError, match="must be int|not int"):
+            make()
 
     def test_zero_divisor_product(self):
         x = Hypercomplex(4, {3: 1, 10: 1})

@@ -38,6 +38,26 @@ def emit(capsys, *argv):
     return code, out
 
 
+def cli_peak(*argv):
+    """The command line's exit code, stdout, stderr and peak RSS in kilobytes
+    (``ru_maxrss`` on Linux).  A small parent reads the peak, so the fork
+    that starts the command does not count the pages of the test process."""
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "run = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([run.returncode, run.stdout, run.stderr, peak]))\n"
+    )
+    src = str(Path(boxkites.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probed = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "boxkites.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(probed.stdout)
+
+
 class TestEmit:
     def test_strut_table_markdown(self, capsys):
         code, out = emit(capsys, "strut-table")
@@ -163,6 +183,10 @@ class TestEmit:
         ["census", "--dim", "512"],
         ["census", "--dim", "1024", "--s-range", "1"],
         ["tripsync", "--dim", "512"],
+        # 4,215 digits: the refusal formats no count past Python's 4,300-digit limit
+        ["pathion", "--dim", str(1 << 14000), "--strut", "3"],
+        ["census", "--dim", str(1 << 14000)],
+        ["tripsync", "--dim", str(1 << 14000)],
     ])
     def test_whole_level_past_n8_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -240,27 +264,11 @@ class TestEmit:
     ])
     def test_huge_s_range_refused_without_expanding_it(self, dim, message):
         # a piece is cut to at most 128 values before RenderSpec sees it;
-        # whole, these two million values took 173 MB just to be refused.  A
-        # small parent reads the CLI's peak RSS, so the fork that starts the
-        # CLI does not count the pages of this test process.
-        probe = (
-            "import json, resource, subprocess, sys\n"
-            "run = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
-            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(json.dumps([run.returncode, run.stdout, run.stderr, peak]))\n"
-        )
-        src = str(Path(boxkites.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["emit", "tripsync", "--dim", dim, "--s-range", "1-2000000"]
-        probed = subprocess.run(
-            [sys.executable, "-c", probe, sys.executable, "-m", "boxkites.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        code, out, err, peak_kb = json.loads(probed.stdout)
+        # whole, these two million values took 173 MB just to be refused
+        code, out, err, peak_kb = cli_peak("emit", "tripsync", "--dim", dim, "--s-range", "1-2000000")
         assert (code, out) == (2, "")
         assert message in err
-        assert peak_kb < 64 * 1024  # ru_maxrss is in kilobytes on Linux
+        assert peak_kb < 64 * 1024
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_request_without_flags_is_the_command_without_flags(self, target, capsys):
@@ -313,6 +321,9 @@ class TestRenderSpec:
         {"target": "census", "n": 9},
         {"target": "tripsync", "n": 9},
         {"target": "tripsync", "n": 9, "s_values": tuple(range(1, 33))},
+        {"target": "pathion", "n": 20000, "s": 3},
+        {"target": "census", "n": 20000},
+        {"target": "tripsync", "n": 20000},
     ])
     def test_search_past_the_bound_refused(self, spec):
         with pytest.raises(ValueError, match="largest dimension searched whole is 256"):
@@ -525,6 +536,17 @@ class TestPathionStream:
     def test_one_chunk_per_kite(self):
         chunks = list(render.emit_chunks(RenderSpec("pathion", "json", n=5, s=9)))
         assert len(chunks) == len(emanation.find_box_kites(5, 9)) + 2
+
+    def test_dot_is_written_a_line_at_a_time(self, tmp_path):
+        # 42 MB when the n = 10 graph's text was joined whole, 19 MB streamed,
+        # 18 MB for a census of the sedenions
+        out = tmp_path / "zd.dot"
+        code, _, err, peak_kb = cli_peak("emit", "pathion", "--dim", "1024", "--strut", "1",
+                                         "--format", "dot", "--out", str(out))
+        assert (code, err) == (0, "")
+        edges = emanation.zd_graph(10, 1).adjacency.bit_count() // 2
+        assert out.read_text().count("\n") == 1 + 510 + edges + 1  # 510 vertices
+        assert peak_kb < 30 * 1024
 
 
 class TestRoundTrip:

@@ -797,16 +797,21 @@ def test_level_below_sedenions_refused(entry, n):
         entry(n)
 
 
-@pytest.mark.parametrize("n,s", [(4, 0), (4, 8), (6, 99), (6, -1), (1000, 0)])
-def test_strut_constant_outside_level_refused(n, s, monkeypatch):
-    # refused before any module asks for a sign table, which at n = 1000
-    # would hold 4^1000 bytes
+def refuse_tables(monkeypatch):
+    """Make every module of the package fail on building a sign table."""
     def no_table(n):
         raise AssertionError(f"sign table of level {n} built")
 
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "boxkites" and hasattr(module, "sign_table"):
             monkeypatch.setattr(module, "sign_table", no_table)
+
+
+@pytest.mark.parametrize("n,s", [(4, 0), (4, 8), (6, 99), (6, -1), (1000, 0)])
+def test_strut_constant_outside_level_refused(n, s, monkeypatch):
+    # refused before any module asks for a sign table, which at n = 1000
+    # would hold 4^1000 bytes
+    refuse_tables(monkeypatch)
     half = 1 << (n - 1)
     message = rf"^strut constants at dimension {2 * half} lie strictly between 0 and {half}$"
     for refused in (lambda: zd_graph(n, s), lambda: find_box_kites(n, s),
@@ -814,6 +819,29 @@ def test_strut_constant_outside_level_refused(n, s, monkeypatch):
                     lambda: assessors_for_strut(s, n)):
         with pytest.raises(ValueError, match=message):
             refused()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: census(40), lambda: trip_sync_sweep(40), lambda: trip_sync_sweep(40, [3]),
+    lambda: zd_graph(16, 1), lambda: find_box_kites(16, 1),
+    lambda: list(emanation.sweep_entries(13, 1)), lambda: sweep_range(13),
+], ids=["census", "trip_sync_sweep", "trip_sync_sweep-one-s", "zd_graph", "find_box_kites",
+        "sweep_entries", "sweep_range"])
+def test_level_past_the_table_limit_refused(entry, monkeypatch):
+    # refused before a table or a range of every s is built: census(40)
+    # would range over 2^39 - 1 values, and the table of level 16 is 4 GB
+    refuse_tables(monkeypatch)
+    with pytest.raises(ValueError, match=r"only up to n = 12 \(dimension 4096\); got n = (13|16|40)$"):
+        entry()
+
+
+def test_one_object_past_the_table_limit_builds_with_no_table(monkeypatch):
+    refuse_tables(monkeypatch)
+    assert sweep_range(13, [1, 4095]) == (1, 4095)
+    x = (1 << 39) + 1  # box-kite I's lows at level 40 are a kite
+    kite = BoxKite(40, 1, tuple(Assessor(40, v.o, v.o ^ x) for v in build_box_kite(1).vertices))
+    assert kite.edge_signs == tuple(edge_sign(kite.vertex(p), kite.vertex(q))
+                                    for p, q in EDGE_LETTER_PAIRS)
 
 
 def test_sweep_range_refuses_at_once(monkeypatch):
