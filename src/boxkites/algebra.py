@@ -20,9 +20,10 @@ in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .record import record
 
 Scalar = int | Fraction
 
@@ -108,7 +109,7 @@ def held_sign_table(n: int) -> SignTable | None:
     return rows if level == n else None
 
 
-@dataclass(frozen=True)
+@record
 class BasisBlade:
     """A signed basis unit: sign * e_index."""
 
@@ -144,7 +145,7 @@ def blade_mul(a: int, b: int, n: int) -> BasisBlade:
     return BasisBlade(blade_sign(a, b), a ^ b)
 
 
-@dataclass(frozen=True)
+@record
 class Hypercomplex:
     """Element of a 2^n-ion algebra with exact coefficients, one per index.
 

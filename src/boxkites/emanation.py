@@ -11,7 +11,6 @@ whole sweeps of strut constants.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import TripIndices, sign_table
@@ -26,9 +25,10 @@ from .kites import (
     check_strut,
     check_table_level,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class ZDGraph:
     """The zero-divisor graph of (n, s) as two packed level ints, bit
     a * 2^(n-1) + b for the lows a, b < 2^(n-1).
@@ -304,7 +304,7 @@ def pathion_lift(bk: BoxKite) -> BoxKite:
     return _label_kite(5, bk.s, tuple(v.o for v in bk.vertices))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SweepEntry:
     s: int
     abc_lows: TripIndices
@@ -312,7 +312,7 @@ class SweepEntry:
     counterexamples: tuple[TripIndices, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SweepReport:
     """The tally of a sweep: its kites and the failing ones among them."""
 
@@ -416,7 +416,7 @@ def trip_sync_sweep(n: int, s_values=None) -> SweepReport:
     return sweep.report
 
 
-@dataclass(frozen=True)
+@record
 class CensusReport:
     """Box-kites per strut constant; ``sources`` maps each s to the s whose
     search gave its count: s itself for each s = 8k + 1 and for any s whose

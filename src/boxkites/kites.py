@@ -30,7 +30,6 @@ signs alone decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -44,6 +43,7 @@ from .algebra import (
     held_sign_table,
     trip_orientation,
 )
+from .record import Fresh, record
 
 SLASH = 1
 BACKSLASH = -1
@@ -78,7 +78,7 @@ SYNC_SAILS = tuple(
 _SAIL_SPELLINGS = frozenset("".join(p) for name in SAIL_LETTERS for p in permutations(name))
 
 
-@dataclass(frozen=True)
+@record
 class Assessor:
     """Index pair (o, hi) with o xor hi = 2^(n-1) + s, for n >= 4 and 0 < s < 2^(n-1)."""
 
@@ -122,7 +122,7 @@ class Assessor:
         return f"({self.o},{self.hi})"
 
 
-@dataclass(frozen=True)
+@record
 class Diagonal:
     """Oriented diagonal of an assessor; the representative fixes +1 on e_o."""
 
@@ -151,9 +151,17 @@ def check_level(n: int) -> None:
 
 def check_strut(s: int, n: int) -> None:
     """Refuse a strut constant outside 0 < s < 2^(n-1), at a level ``check_level`` passes."""
-    half = 1 << (n - 1)
-    if not 0 < s < half:
-        raise ValueError(f"strut constants at dimension {2 * half} lie strictly between 0 and {half}")
+    if not 0 < s < 1 << (n - 1):
+        raise ValueError(f"strut constants at dimension {_power(n)} lie strictly between 0 "
+                         f"and {_power(n - 1)}")
+
+
+def _power(k: int) -> str:
+    """2^k written out, or as "2^k" past Python's limit on the digits of int text."""
+    try:
+        return str(1 << k)
+    except ValueError:
+        return f"2^{k}"
 
 
 MAX_TABLE_LEVEL = 12  # its sign table holds 4^12 bytes, 16 MB; each level up quadruples it
@@ -252,7 +260,7 @@ def slot_trips(ends) -> tuple[TripIndices, TripIndices, TripIndices, TripIndices
     return ((l0, l1, l2), (l0, h1, h2), (h0, l1, h2), (h0, h1, l2))
 
 
-@dataclass(frozen=True)
+@record
 class Sail:
     """Three mutually zero-dividing vertices of a box-kite, in slot order."""
 
@@ -268,7 +276,7 @@ class Sail:
         return slot_trips([v.indices for v in self.vertices])
 
 
-@dataclass(frozen=True)
+@record
 class BoxKite:
     """Octahedron of six assessors, checked here alone however it is built.
 
@@ -283,7 +291,7 @@ class BoxKite:
     n: int
     s: int
     vertices: tuple[Assessor, Assessor, Assessor, Assessor, Assessor, Assessor]
-    edge_signs: tuple[int, ...] = field(init=False)  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
+    edge_signs: tuple[int, ...] = Fresh()  # the 12 edges, in ``EDGE_LETTER_PAIRS`` order
 
     def __post_init__(self) -> None:
         check_level(self.n)
@@ -405,7 +413,7 @@ def sail_six_cycle(sail: Sail, start: Diagonal) -> list[tuple[Diagonal, Diagonal
     return list(zip(walk, walk[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class TrayRack:
     """One of the three alternating-sign squares of a box-kite."""
 

@@ -14,13 +14,13 @@ the cell value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Hypercomplex, Scalar, TripIndices, blade_sign, trip_orientation
 from .kites import (LETTERS, STRUT_LETTER_PAIRS, SYNC_SAIL_ORDER, SYNC_SAILS, BoxKite, Sail,
                     _strut_x, slot_trips)
+from .record import record
 
 # Each strut p-q's diagonals in yard order: q slash, p and q backslash, p slash.
 STRUT_SYMBOLS = {p + q: (q, p.lower(), q.lower(), p) for p, q in STRUT_LETTER_PAIRS}
@@ -50,7 +50,7 @@ def symbol_rep(bk: BoxKite, symbol: str) -> Hypercomplex:
     raise ValueError(f"unknown yard symbol {symbol!r}")
 
 
-@dataclass(frozen=True)
+@record
 class LariatResult:
     """Zero, or a signed symbol together with the positive scale divided out."""
 
@@ -179,7 +179,7 @@ def lariat_product(p: str, q: str, bk: BoxKite) -> LariatResult:
     return _Lines(bk).product(p, q)
 
 
-@dataclass(frozen=True)
+@record
 class LariatTable:
     """Square multiplication table over line symbols."""
 
@@ -271,7 +271,7 @@ def _coherent_triples(sail: Sail) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return first, second
 
 
-@dataclass(frozen=True)
+@record
 class QuizzicalLariat(LariatTable):
     """One quaternion-shaped sail lariat: x^2 = y^2 = z^2 = xyz = -R."""
 
@@ -293,7 +293,7 @@ def quizzical_tables(bk: BoxKite) -> list[QuizzicalLariat]:
     return lariats
 
 
-@dataclass(frozen=True)
+@record
 class SailSync:
     """Orientation bookkeeping for the four triples attached to one sail."""
 
@@ -314,7 +314,7 @@ class SailSync:
         )
 
 
-@dataclass(frozen=True)
+@record
 class TripSyncReport:
     """Per-sail orientation pattern check for one box-kite.
 

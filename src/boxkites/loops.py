@@ -9,14 +9,14 @@ sign bits and index XORs; the exhaustive triple scans then read that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import product
-from typing import Callable, Optional
 
 from .algebra import BasisBlade, blade_sign
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class UnitLoop:
     """A multiplicatively closed set of signed basis units."""
 
@@ -43,7 +43,7 @@ def loop_closure(axis_indices) -> UnitLoop:
     return UnitLoop(frozenset(closed), tuple(elements), closed == axes)
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     identity: str
     x: BasisBlade
@@ -110,7 +110,7 @@ def _cayley_table(loop: UnitLoop) -> CayleyTable:
 
 def _scan(
     loop: UnitLoop, table: CayleyTable, name: str, form: TripleForm
-) -> Optional[Counterexample]:
+) -> Counterexample | None:
     """First failing signed triple in (x, y, z) order, over every triple.
 
     Each form uses every variable equally often on both sides, and -1 is
@@ -131,14 +131,14 @@ def _scan(
     return None
 
 
-def check_identity(loop: UnitLoop, identity: str) -> Optional[Counterexample]:
+def check_identity(loop: UnitLoop, identity: str) -> Counterexample | None:
     """Exhaustively test an identity; None means it holds everywhere."""
     if identity not in IDENTITY_FORMS:
         raise ValueError(f"unknown identity {identity!r}")
     return _scan(loop, _cayley_table(loop), identity, IDENTITY_FORMS[identity])
 
 
-def moufang_report(loop: UnitLoop) -> dict[str, Optional[Counterexample]]:
+def moufang_report(loop: UnitLoop) -> dict[str, Counterexample | None]:
     """All three Moufang forms, since finite loops can in principle split them."""
     table = _cayley_table(loop)
     return {

@@ -17,11 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from math import comb
-from typing import Callable
 
 from .emanation import (
     CensusReport,
@@ -54,6 +52,7 @@ from .lariats import (
     switching_yard,
     trip_sync_report,
 )
+from .record import record
 
 ROMAN = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 7: "VII"}
 
@@ -75,7 +74,7 @@ def field_readers(name: str) -> list[str]:
     return [key for key, t in REGISTRY.items() if name in t.params]
 
 
-@dataclass(frozen=True)
+@record
 class RenderSpec:
     """A fully resolved emission request, checked against its target.
 
@@ -120,9 +119,8 @@ class RenderSpec:
                 f"target {self.target!r} would search more than {MAX_PAIRS:,} assessor pairs "
                 f"at dimension 2^{n}; the largest dimension searched whole is {1 << MAX_WHOLE_LEVEL_N}"
             )
-        for field in fields(self):
-            name = field.name
-            default = level if name == "n" else field.default
+        for name in self._fields:
+            default = level if name == "n" else getattr(RenderSpec, name, None)
             if name in FLAGS and name not in reads and getattr(self, name) != default:
                 readers = field_readers(name)
                 raise ValueError(
@@ -396,7 +394,7 @@ def _pathion_text(spec: RenderSpec) -> Iterator[str]:
 
 # ---------------------------------------------------------------- registry
 
-@dataclass(frozen=True)
+@record
 class Target:
     """One emit target: how to write its text, and what a request for it needs."""
 

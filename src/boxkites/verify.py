@@ -8,10 +8,9 @@ consumed at least once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator
 
 from . import fixtures
 from .algebra import Hypercomplex, Scalar, enumerate_trips, hc_mul, trip_orientation
@@ -50,9 +49,10 @@ from .lariats import (
     yard_strut_subtable,
 )
 from .loops import check_identity, is_quaternion_group, loop_closure, moufang_report
+from .record import Fresh, record
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     check_id: str
     claim: str
@@ -71,10 +71,10 @@ class CheckResult:
         return f"[{mark}] {self.check_id}: {self.claim}"
 
 
-@dataclass
+@record(frozen=False)
 class VerificationReport:
     sections: tuple[str, ...]
-    results: list[CheckResult] = field(default_factory=list)
+    results: list[CheckResult] = Fresh(list)
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,6 +327,12 @@ class TestRenderSpec:
     def test_search_past_the_bound_refused(self, spec):
         with pytest.raises(ValueError, match="largest dimension searched whole is 256"):
             RenderSpec(**spec)
+
+    def test_strut_refused_past_the_digit_limit(self):
+        # the strut check comes before the search bound, and names 2^20000 as a power
+        with pytest.raises(ValueError, match=r"^strut constants at dimension 2\^20000 lie "
+                                             r"strictly between 0 and 2\^19999$"):
+            RenderSpec("pathion", n=20000, s=0)
 
     def test_default_level_is_the_targets(self):
         assert {t: RenderSpec(t).n for t in TARGETS} == {
@@ -741,8 +746,9 @@ class TestHelp:
         assert capsys.readouterr().out.startswith(f"usage: {' '.join(['boxkites', *argv])} ")
 
     def test_emit_help_reads_library_defaults(self, capsys, monkeypatch):
+        pathion = render.REGISTRY["pathion"]
         monkeypatch.setitem(render.REGISTRY, "pathion",
-                            replace(render.REGISTRY["pathion"], default_dim=128))
+                            render.Target(pathion.text, pathion.params, 128, pathion.dot))
         with pytest.raises(SystemExit):
             main(["emit", "--help"])
         out = " ".join(capsys.readouterr().out.split())

@@ -34,6 +34,7 @@ from boxkites.kites import (
     assessor_lows,
     assessors_for_strut,
     build_box_kite,
+    check_strut,
     edge_rule,
     edge_sign,
     slot_trips,
@@ -817,6 +818,19 @@ def test_strut_constant_outside_level_refused(n, s, monkeypatch):
     for refused in (lambda: zd_graph(n, s), lambda: find_box_kites(n, s),
                     lambda: list(emanation.sweep_entries(n, s)),
                     lambda: assessors_for_strut(s, n)):
+        with pytest.raises(ValueError, match=message):
+            refused()
+
+
+def test_strut_refusal_names_a_dimension_past_the_digit_limit(monkeypatch):
+    # 2^20000 has more digits than Python writes out as int text, so the
+    # refusal names it as a power; it once failed on the digit limit instead
+    refuse_tables(monkeypatch)
+    message = r"^strut constants at dimension 2\^20000 lie strictly between 0 and 2\^19999$"
+    for refused in (lambda: check_strut(0, 20000), lambda: zd_graph(20000, 0),
+                    lambda: find_box_kites(20000, 0),
+                    lambda: list(emanation.sweep_entries(20000, 0)),
+                    lambda: assessors_for_strut(0, 20000)):
         with pytest.raises(ValueError, match=message):
             refused()
 

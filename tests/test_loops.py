@@ -1,7 +1,6 @@
 """Unit-loop closures and the identity checks that separate them."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -170,7 +169,9 @@ class TestCayleyTableScan:
             assert counterexample == oracle_scan(loop, f"moufang-{form}"), form
         # "moufang" is the middle form under its own name
         middle = report["middle"]
-        expected = middle and replace(middle, identity="moufang")
+        expected = middle and Counterexample(
+            "moufang", middle.x, middle.y, middle.z, middle.lhs, middle.rhs
+        )
         assert check_identity(loop, "moufang") == expected
         for identity in ("associative", "flexible", "alternative"):
             assert check_identity(loop, identity) == oracle_scan(loop, identity), identity
@@ -232,6 +233,8 @@ class TestScanElementOrder:
         for identity in IDENTITY_FORMS:
             name = "moufang-middle" if identity == "moufang" else identity
             expected = oracle_scan(hand_built, name)
-            expected = expected and replace(expected, identity=identity)
+            expected = expected and Counterexample(
+                identity, expected.x, expected.y, expected.z, expected.lhs, expected.rhs
+            )
             assert check_identity(hand_built, identity) == expected, identity
         assert is_quaternion_group(hand_built) == is_quaternion_group(loop)
